@@ -1,14 +1,23 @@
-"""Session-layer benchmarks: ``engine="auto"`` planning overhead.
+"""Session-layer benchmarks: what ``engine="auto"`` planning buys.
 
-The acceptance bar for the ``repro.api`` port: on the mixed 64-task
-fig3-style grid (the shape every comparison figure fans out), a
-default ``Session`` -- which *plans* the workload instead of being
-hand-pointed at :class:`BatchExperimentPool` -- must produce
-bit-identical numbers and be no slower than the hand-picked pool path
-beyond the repo's standard 20% tolerance.  Ratios are CPU time, best
-of three, like the engine benchmarks; the measured numbers are emitted
-as a ``BENCH_api.json`` artifact and additionally guarded against the
-committed ``BENCH_api_baseline.json`` pin when present.
+Two legs, each bit-identical to its comparison path:
+
+* the mixed 64-task RapidSample/UDP grid, where every group is wide
+  enough for the batch engine: a default ``Session`` -- which *plans*
+  the workload instead of being hand-pointed at
+  :class:`BatchExperimentPool` -- must batch all of it and be no slower
+  than the hand-picked pool path beyond the repo's standard 20%
+  tolerance;
+* the ``runner --quick`` Figure 3-5 shape (6 protocols x 3 environments
+  x 4 mixed traces, TCP), whose 12-task groups are narrower than the
+  batch engine's break-even widths: ``Session(engine="auto")`` must be
+  at least 0.9x ``Session(engine="fast")``, so the planner never
+  routes a figure grid onto a slower engine.
+
+Ratios are CPU time, best of three, like the engine benchmarks; the
+measured numbers are emitted as a ``BENCH_api.json`` artifact and
+additionally guarded against the committed ``BENCH_api_baseline.json``
+pins when present.
 """
 
 from conftest import check_regression, load_bench_baseline, write_bench_artifact
@@ -16,8 +25,22 @@ from conftest import check_regression, load_bench_baseline, write_bench_artifact
 from test_bench_engine import _best_of_cpu, _GRID_DURATION_S, _grid_tasks
 
 from repro.api import GridSpec, Session
-from repro.experiments.common import cached_hints, cached_trace
+from repro.experiments.common import (
+    INDOOR_OUTDOOR_ENVS,
+    RATE_PROTOCOLS,
+    cached_hints,
+    cached_trace,
+)
 from repro.experiments.parallel import BatchExperimentPool
+
+#: Numbers of every leg run by this pytest process, written as one
+#: artifact.
+_ARTIFACT: dict = {}
+
+#: ``runner --quick``'s trace count per environment; the replay length
+#: is shortened from the paper's 20 s to keep the leg quick.
+_QUICK_TRACES = 4
+_QUICK_DURATION_S = 4.0
 
 
 def _grid_specs():
@@ -58,12 +81,13 @@ def test_session_auto_no_slower_than_hand_picked_pool():
     ratio = t_pool / t_session
     print(f"\n[api] mixed 64-task grid: BatchExperimentPool {t_pool:.2f}s, "
           f"Session(auto) {t_session:.2f}s -> {ratio:.2f}x")
-    write_bench_artifact("api", {
+    _ARTIFACT.update({
         "grid_tasks": len(tasks),
         "pool_s": t_pool,
         "session_s": t_session,
         "session_vs_pool": ratio,
     })
+    write_bench_artifact("api", _ARTIFACT)
     # The hard acceptance floor: auto planning may cost at most the
     # repo's standard 20% tolerance over the hand-picked pool.
     assert ratio >= 0.8, (
@@ -71,3 +95,44 @@ def test_session_auto_no_slower_than_hand_picked_pool():
         f"({ratio:.2f}x)"
     )
     check_regression(ratio, load_bench_baseline("api"), "session_vs_pool")
+
+
+def test_session_auto_no_slower_than_fast_on_quick_fig3_5():
+    import pytest
+
+    pytest.importorskip("pytest_benchmark")
+
+    grid = GridSpec(protocols=tuple(RATE_PROTOCOLS),
+                    envs=INDOOR_OUTDOOR_ENVS, mode="mixed",
+                    n_seeds=_QUICK_TRACES, seed0=0,
+                    duration_s=_QUICK_DURATION_S, tcp=True,
+                    best_samplerate_protocols=("SampleRate",))
+    for link in grid.expand(grid.seed0):  # warm outside the timings
+        cached_trace(link.env, link.mode, link.seed, link.duration_s)
+        cached_hints(link.mode, link.seed, link.duration_s)
+
+    auto, fast = Session(jobs=1), Session(engine="fast", jobs=1)
+    t_auto, auto_run = _best_of_cpu(lambda: auto.run(grid))
+    t_fast, fast_run = _best_of_cpu(lambda: fast.run(grid))
+
+    assert auto_run.throughputs == fast_run.throughputs, (
+        "auto plan diverged from the fast engine"
+    )
+    ratio = t_fast / t_auto
+    print(f"\n[api] quick fig3-5 TCP grid ({grid.n_tasks} tasks, "
+          f"engines {sorted(set(auto_run.task_engines))}): "
+          f"Session(fast) {t_fast:.2f}s, Session(auto) {t_auto:.2f}s "
+          f"-> {ratio:.2f}x")
+    _ARTIFACT.update({
+        "fig3_5_quick_tasks": grid.n_tasks,
+        "fig3_5_quick_fast_s": t_fast,
+        "fig3_5_quick_auto_s": t_auto,
+        "fig3_5_quick_auto_vs_fast": ratio,
+    })
+    write_bench_artifact("api", _ARTIFACT)
+    assert ratio >= 0.9, (
+        f"Session(auto) is >10% slower than Session(engine='fast') on "
+        f"the quick Figure 3-5 grid ({ratio:.2f}x)"
+    )
+    check_regression(ratio, load_bench_baseline("api"),
+                     "fig3_5_quick_auto_vs_fast")

@@ -4,8 +4,9 @@ Declare *what* to simulate as a frozen, JSON-round-trippable spec --
 :class:`LinkReplaySpec` (one link replay), :class:`GridSpec` (a
 seed-expanded sweep of link replays), :class:`NetworkRunSpec` (one
 multi-station scenario) -- and hand it to a :class:`Session`, which
-owns *how*: engine selection (``engine="auto"`` plans fast vs batch vs
-process-pool per workload), worker count, trace store and seed lineage.
+owns *how*: engine selection (``engine="auto"`` plans fast vs batch per
+task group from measured break-even widths), worker count, trace store
+and seed lineage.
 Results come back as typed :class:`RunResult` envelopes carrying the
 spec echo, per-task :class:`~repro.mac.SimResult` /
 :class:`NetworkSummary` payloads, the engines actually used, timing and

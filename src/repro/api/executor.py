@@ -80,7 +80,8 @@ def _link_artefacts(task: LinkTask):
 
 def _controllers(task: LinkTask) -> list:
     """The controller(s) a task replays: one per candidate SampleRate
-    window under the post-facto bias, else the protocol's own."""
+    window under the post-facto bias (specs allow it on SampleRate
+    only), else the protocol's own."""
     from ..experiments.common import SAMPLERATE_WINDOWS_S
     from ..rate import RATE_PROTOCOLS, SampleRate
 
@@ -116,10 +117,11 @@ def run_link_task(task: LinkTask):
 def run_link_group(tasks: tuple):
     """Top-level (picklable) worker: one batchable task group.
 
-    All tasks share (protocol, traffic model, best-SampleRate); the
-    batch engine replays the whole ragged group in lockstep (candidate
-    SampleRate windows expand into extra links and reduce back to the
-    per-task best).  Mirrors
+    All tasks share (protocol, traffic model, best-SampleRate) -- the
+    planner sends a chunk here only at or above its break-even width;
+    the batch engine replays the whole ragged group in lockstep
+    (candidate SampleRate windows expand into extra links and reduce
+    back to the per-task best).  Mirrors
     :func:`repro.experiments.parallel.run_batch_tasks` link for link.
     """
     from ..mac import SimConfig, TcpSource, UdpSource

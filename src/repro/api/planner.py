@@ -1,14 +1,14 @@
 """Workload planning: which engine runs which task, and in what shape.
 
 Pure functions from task descriptors to an execution plan, so the
-policy is unit-testable without running a simulator.  The link-grid
-policy under ``engine="auto"`` is **exactly** the heuristic
-:class:`~repro.experiments.parallel.BatchExperimentPool` has always
-applied -- group by ``(protocol, traffic, best-SampleRate)``, send
-groups of at least ``min_batch`` to the batch engine in chunks of at
-most ``batch_size`` links, fall back to the per-task fast engine for
-the rest -- which is what makes ``auto`` bit-identical to *and no
-slower than* the hand-picked pool (guarded in ``benchmarks/``).
+policy is unit-testable without running a simulator.  Under
+``engine="auto"`` a link task replays on the batch engine only where
+measurements show batch is faster: tasks group by ``(protocol,
+traffic, best-SampleRate)``, each group splits into chunks of at most
+:data:`BATCH_SIZE` tasks, and a chunk goes to batch only when its link
+count reaches the :data:`BATCH_BREAK_EVEN_LINKS` entry for its
+``(protocol, tcp)``.  Everything else replays per task on the fast
+engine.  All engines are bit-identical, so the plan changes speed only.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from .config import ConfigError
 
 __all__ = [
+    "BATCH_BREAK_EVEN_LINKS",
+    "BATCH_SIZE",
     "NETWORK_BATCH_MIN_STATIONS",
     "LinkPlan",
+    "link_count",
     "plan_link_tasks",
-    "resolve_link_engine",
     "resolve_network_engine",
 ]
 
@@ -29,6 +31,28 @@ __all__ = [
 #: on the batch scenario engine (bit-identical; its SoA passes amortise
 #: over contending stations, while tiny cells are adapter-bound).
 NETWORK_BATCH_MIN_STATIONS = 8
+
+#: Most tasks one batch-engine call replays (a best-SampleRate task
+#: replays one link per candidate window, so a chunk may hold more
+#: links than this).
+BATCH_SIZE = 64
+
+#: Break-even widths of the batch engine, in links, keyed by
+#: ``(protocol, tcp)``: the fewest links at which one batch call beat
+#: per-task fast replays in CPU time at both 2 s and 20 s trace lengths
+#: and in every mobility mode measured, keeping the larger width where
+#: they disagreed (the measurements are tabulated in the README's
+#: "Choosing an engine").  Pairs without an entry did not win within
+#: one :data:`BATCH_SIZE` chunk: RapidSample and HintAware under TCP,
+#: where the batch engine drives each row's scalar ``TcpSource``, and
+#: RRAA, RBAR and CHARM, which batch through the scalar
+#: ``LoopBatchAdapter``.  They always replay on ``fast`` under ``auto``.
+BATCH_BREAK_EVEN_LINKS: dict[tuple[str, bool], int] = {
+    ("RapidSample", False): 24,
+    ("SampleRate", False): 24,
+    ("HintAware", False): 40,
+    ("SampleRate", True): 48,
+}
 
 
 @dataclass(frozen=True)
@@ -38,17 +62,12 @@ class LinkPlan:
     ``chunks`` are index groups replayed by one batch-engine call each;
     ``singles`` replay per-task on ``engines[i]``.  ``engines`` is
     parallel to the task list and covers every task (chunk members are
-    ``"batch"``).  Chunk-first execution order matches the legacy pool.
+    ``"batch"``).  Chunks execute before singles.
     """
 
     chunks: tuple[tuple[int, ...], ...]
     singles: tuple[int, ...]
     engines: tuple[str, ...]
-
-
-def resolve_link_engine(engine: str) -> str:
-    """The per-task engine a session preference forces (``auto``->fast)."""
-    return "fast" if engine == "auto" else engine
 
 
 def resolve_network_engine(engine: str, n_stations: int) -> str:
@@ -69,25 +88,23 @@ def resolve_network_engine(engine: str, n_stations: int) -> str:
     raise ConfigError(f"unknown engine {engine!r}")
 
 
-def plan_link_tasks(
-    keys: list,
-    engine: str,
-    batch_size: int = 64,
-    min_batch: int = 2,
-) -> LinkPlan:
+def link_count(n_tasks: int, best_samplerate: bool) -> int:
+    """Links the batch engine replays for ``n_tasks`` tasks of one key."""
+    from ..experiments.common import SAMPLERATE_WINDOWS_S
+
+    return n_tasks * (len(SAMPLERATE_WINDOWS_S) if best_samplerate else 1)
+
+
+def plan_link_tasks(keys: list, engine: str) -> LinkPlan:
     """Plan link tasks given their batchability keys.
 
-    ``keys[i]`` is task *i*'s grouping key -- ``(protocol, tcp,
-    best_samplerate)``, the legacy pool's -- and tasks sharing a key
-    may replay in one ragged batch.  ``engine`` is the session
-    preference: ``fast``/``reference`` force per-task replays,
-    ``batch`` forces batch groups (even of one), and ``auto`` applies
-    the legacy :class:`BatchExperimentPool` heuristic verbatim.
+    ``keys[i]`` is task *i*'s grouping key, ``(protocol, tcp,
+    best_samplerate)``; tasks sharing a key may replay in one ragged
+    batch.  ``engine`` is the session preference: ``fast``/``reference``
+    force per-task replays, ``batch`` forces batch chunks (even of
+    one), and ``auto`` batches a chunk only at or above its
+    :data:`BATCH_BREAK_EVEN_LINKS` width.
     """
-    if batch_size < 1:
-        raise ConfigError("batch_size must be positive")
-    min_batch = max(1, int(min_batch))
-
     if engine in ("fast", "reference"):
         return LinkPlan(chunks=(), singles=tuple(range(len(keys))),
                         engines=(engine,) * len(keys))
@@ -100,13 +117,17 @@ def plan_link_tasks(
     chunks: list[tuple[int, ...]] = []
     singles: list[int] = []
     engines = ["batch"] * len(keys)
-    for members in groups.values():
-        if engine == "auto" and len(members) < min_batch:
-            singles.extend(members)
-            for i in members:
+    for (protocol, tcp, best), members in groups.items():
+        break_even = BATCH_BREAK_EVEN_LINKS.get((protocol, tcp))
+        for lo in range(0, len(members), BATCH_SIZE):
+            chunk = tuple(members[lo:lo + BATCH_SIZE])
+            if engine == "batch" or (
+                    break_even is not None
+                    and link_count(len(chunk), best) >= break_even):
+                chunks.append(chunk)
+                continue
+            singles.extend(chunk)
+            for i in chunk:
                 engines[i] = "fast"
-            continue
-        for lo in range(0, len(members), batch_size):
-            chunks.append(tuple(members[lo:lo + batch_size]))
     return LinkPlan(chunks=tuple(chunks), singles=tuple(singles),
                     engines=tuple(engines))

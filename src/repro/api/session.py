@@ -7,12 +7,11 @@ and the engine preference -- and validates all of it eagerly (one
 :class:`~repro.api.config.ConfigError` instead of scattered failures).
 :meth:`Session.run` / :meth:`Session.map` then *plan* each declarative
 spec: grid tasks are grouped by batchability and dispatched to the
-batch engine, the per-task fast engine, or worker processes exactly
-where :class:`~repro.experiments.parallel.BatchExperimentPool`'s
-heuristics always lived (see :mod:`repro.api.planner`), network
-scenarios pick the batch scenario engine when the cell is dense enough
-to amortise it, and cold trace stores are pre-warmed one artefact per
-worker before any grid fans out.
+batch engine only where its measured break-even width says it is
+faster, else to the per-task fast engine (see :mod:`repro.api.planner`);
+network scenarios pick the batch scenario engine when the cell is dense
+enough to amortise it; and cold trace stores are pre-warmed one
+artefact per worker before any grid fans out.
 
 Everything is bit-identical to the legacy hand-wired paths: the same
 controllers, traces, seeds and (pinned-equivalent) engines, so a
@@ -70,8 +69,6 @@ class Session:
     seed:
         Base seed of this session's :func:`derive_seed` lineage; specs
         with ``seed=None`` get collision-free seeds minted from it.
-    batch_size, min_batch:
-        Batch-engine grouping knobs (the legacy pool's defaults).
     """
 
     def __init__(
@@ -80,18 +77,10 @@ class Session:
         jobs: int | None = None,
         store: str | None = None,
         seed: int = 0,
-        batch_size: int = 64,
-        min_batch: int = 2,
     ) -> None:
         self.engine = resolve_engine(engine)
         self.jobs = resolve_jobs(jobs)
         self.seed = int(seed)
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if min_batch < 1:
-            raise ConfigError("min_batch must be >= 1")
-        self.batch_size = int(batch_size)
-        self.min_batch = int(min_batch)
         root = resolve_store_root(store)
         if store is not None:
             set_store_root(root)
@@ -157,11 +146,10 @@ class Session:
                          warm_cache_task)
         self._warm_networks([task for _, task in pending_nets], pool)
 
-        # --- link tasks: plan, then chunks first (the legacy order) ---
+        # --- link tasks: plan, then chunks first --------------------
         keys = [(link.protocol, link.tcp, link.best_samplerate)
                 for _, link in pending_links]
-        plan = plan_link_tasks(keys, self.engine, self.batch_size,
-                               self.min_batch)
+        plan = plan_link_tasks(keys, self.engine)
         tasks = [
             LinkTask(protocol=link.protocol, env=link.env, mode=link.mode,
                      seed=link.seed, duration_s=link.duration_s,

@@ -26,6 +26,7 @@ segments; see :func:`segments_of`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -86,6 +87,21 @@ def _check_protocol(protocol: str) -> None:
         )
 
 
+def _check_duration(duration_s) -> None:
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ConfigError(f"duration_s must be positive and finite, "
+                          f"not {duration_s!r}")
+
+
+def _check_best_samplerate(protocol: str) -> None:
+    # The post-facto bias replays SampleRate windows; on any other
+    # protocol it would replay SampleRate under that protocol's label.
+    if protocol != "SampleRate":
+        raise ConfigError(
+            f"best_samplerate applies to SampleRate only, not {protocol!r}"
+        )
+
+
 def _check_env(env: str) -> None:
     from ..channel.environments import ENVIRONMENTS
 
@@ -128,8 +144,9 @@ class LinkReplaySpec:
             raise ConfigError(
                 f"unknown mode {self.mode!r}; expected one of {LINK_MODES}"
             )
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        _check_duration(self.duration_s)
+        if self.best_samplerate:
+            _check_best_samplerate(self.protocol)
         object.__setattr__(self, "segments",
                            _normalise_segments(self.segments))
 
@@ -195,6 +212,8 @@ class GridSpec:
             raise ConfigError("a grid needs at least one environment")
         for protocol in self.protocols + self.best_samplerate_protocols:
             _check_protocol(protocol)
+        for protocol in self.best_samplerate_protocols:
+            _check_best_samplerate(protocol)
         for env in self.envs:
             _check_env(env)
         if self.mode not in LINK_MODES:
@@ -203,8 +222,7 @@ class GridSpec:
             )
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        _check_duration(self.duration_s)
 
     @property
     def n_tasks(self) -> int:
@@ -275,8 +293,8 @@ class NetworkRunSpec:
                 f"unknown association policy {self.policy!r}; "
                 f"expected one of {ASSOCIATION_POLICIES}"
             )
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive (or None)")
+        if self.duration_s is not None:
+            _check_duration(self.duration_s)
         overrides = self.overrides
         if isinstance(overrides, dict):
             overrides = overrides.items()

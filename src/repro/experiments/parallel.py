@@ -27,10 +27,10 @@ or the ``REPRO_JOBS`` environment variable, or per-pool via
 .. deprecated::
     The pools are now the *execution substrate* under
     :class:`repro.api.Session`, which plans whole declarative workloads
-    (specs) over them -- including exactly the
-    :class:`BatchExperimentPool` grouping heuristic.  They keep working
-    unchanged as thin compatibility entry points, but new code should
-    construct specs and call the session; see ``repro.api``.
+    (specs) over them with its own measured batch break-even table
+    (:mod:`repro.api.planner`).  They keep working unchanged as thin
+    compatibility entry points, but new code should construct specs and
+    call the session; see ``repro.api``.
 """
 
 from __future__ import annotations
@@ -231,9 +231,10 @@ class BatchExperimentPool(ExperimentPool):
     duration and seed vary freely within a group and batches stay as
     wide as the grid allows -- and each group replays as one
     :func:`repro.mac.batch.run_batch` lockstep call (split into chunks
-    of at most ``batch_size`` links; groups smaller than ``min_batch``
-    auto-fall back to the per-task fast engine, where batching has
-    nothing to amortise).  Results are
+    of at most ``batch_size`` tasks -- a best-SampleRate task replays
+    one link per candidate window, so a chunk may hold more links;
+    groups smaller than ``min_batch`` tasks fall back to the per-task
+    fast engine, where batching has nothing to amortise).  Results are
     *bit-identical* to :class:`ExperimentPool` for any grouping, batch
     size or job count -- the batch engine's per-link RNG streams are
     keyed by task seed, never by batch position -- so drivers can swap

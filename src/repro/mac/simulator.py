@@ -31,8 +31,8 @@ by ``SimConfig(engine=...)``:
   executable specification for equivalence testing.
 * ``"batch"`` -- the :mod:`repro.mac.batch` array program that replays
   many links in lockstep (here, a batch of one).  Its reason to exist is
-  grid executors -- :class:`repro.api.Session` plans grids onto it
-  (``engine="auto"``), and the legacy
+  grid executors -- :class:`repro.api.Session` plans wide enough grid
+  groups onto it (``engine="auto"``), and the legacy
   :class:`repro.experiments.parallel.BatchExperimentPool` dispatches to
   it directly; per-link results are bit-identical to the other engines.
 

@@ -12,15 +12,20 @@ from repro.api import (
     Session,
 )
 from repro.api.planner import (
+    BATCH_BREAK_EVEN_LINKS,
+    BATCH_SIZE,
     NETWORK_BATCH_MIN_STATIONS,
+    link_count,
     plan_link_tasks,
     resolve_network_engine,
 )
+from repro.experiments.common import SAMPLERATE_WINDOWS_S
 from repro.experiments.parallel import (
     BatchExperimentPool,
     ExperimentPool,
     ThroughputTask,
 )
+from repro.rate import RATE_PROTOCOLS
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +117,14 @@ class TestConfigErrors:
 
 
 # ----------------------------------------------------------------------
-# Planning: exactly the legacy BatchExperimentPool heuristics
+# Planning: the measured break-even table decides auto's batch chunks
 # ----------------------------------------------------------------------
+def _break_even_cases():
+    return [pytest.param(protocol, tcp, entry,
+                         id=f"{protocol}-{'tcp' if tcp else 'udp'}")
+            for (protocol, tcp), entry in BATCH_BREAK_EVEN_LINKS.items()]
+
+
 class TestPlanner:
     KEYS = (
         [("RapidSample", False, False)] * 5
@@ -121,17 +132,79 @@ class TestPlanner:
         + [("HintAware", True, False)] * 3
     )
 
-    def test_auto_matches_legacy_grouping(self):
-        plan = plan_link_tasks(self.KEYS, "auto", batch_size=4, min_batch=2)
-        # RapidSample group of 5 splits at batch_size=4; the singleton
-        # SampleRate task falls back to the fast engine.
-        assert plan.chunks == ((0, 1, 2, 3), (4,), (6, 7, 8))
-        assert plan.singles == (5,)
-        assert plan.engines[5] == "fast"
-        assert all(plan.engines[i] == "batch" for i in (0, 4, 6))
+    @pytest.mark.parametrize("protocol, tcp, entry", _break_even_cases())
+    def test_auto_batches_from_break_even_width(self, protocol, tcp, entry):
+        # Plain (non-best) groups: one link per task.
+        below = plan_link_tasks([(protocol, tcp, False)] * (entry - 1), "auto")
+        assert below.chunks == ()
+        assert set(below.engines) == {"fast"}
+        at = plan_link_tasks([(protocol, tcp, False)] * entry, "auto")
+        assert at.chunks == (tuple(range(entry)),)
+        assert at.singles == ()
+        assert set(at.engines) == {"batch"}
+
+    @pytest.mark.parametrize("tcp", [False, True])
+    def test_protocols_without_entry_never_batch(self, tcp):
+        for protocol in RATE_PROTOCOLS:
+            if (protocol, tcp) in BATCH_BREAK_EVEN_LINKS:
+                continue
+            for best in (False, True):
+                plan = plan_link_tasks([(protocol, tcp, best)]
+                                       * (2 * BATCH_SIZE), "auto")
+                assert plan.chunks == (), (protocol, tcp, best)
+                assert set(plan.engines) == {"fast"}
+
+    @pytest.mark.parametrize("tcp", [False, True])
+    def test_best_samplerate_counts_its_windows(self, tcp):
+        entry = BATCH_BREAK_EVEN_LINKS[("SampleRate", tcp)]
+        windows = len(SAMPLERATE_WINDOWS_S)
+        assert link_count(1, True) == windows
+        n_tasks = -(-entry // windows)   # fewest tasks reaching the entry
+        best = plan_link_tasks([("SampleRate", tcp, True)] * n_tasks, "auto")
+        assert set(best.engines) == {"batch"}
+        fewer = plan_link_tasks([("SampleRate", tcp, True)] * (n_tasks - 1),
+                                "auto")
+        assert set(fewer.engines) == {"fast"}
+        # The same task count without the bias is one link per task.
+        plain = plan_link_tasks([("SampleRate", tcp, False)] * n_tasks,
+                                "auto")
+        assert set(plain.engines) == {"fast"}
+
+    def test_chunks_hold_at_most_batch_size_tasks(self):
+        n = 2 * BATCH_SIZE + 2
+        keys = [("RapidSample", False, False)] * n
+        forced = plan_link_tasks(keys, "batch")
+        assert forced.chunks == (tuple(range(BATCH_SIZE)),
+                                 tuple(range(BATCH_SIZE, 2 * BATCH_SIZE)),
+                                 (n - 2, n - 1))
+        # auto keeps the chunking but sends a chunk narrower than its
+        # break-even width (here the 2-task remainder) to fast.
+        auto = plan_link_tasks(keys, "auto")
+        assert auto.chunks == forced.chunks[:2]
+        assert auto.singles == (n - 2, n - 1)
+        assert auto.engines[n - 1] == "fast"
+
+    def test_auto_chunks_execute_first_in_group_order(self):
+        keys = ([("HintAware", True, False)] * 3
+                + [("RapidSample", False, False)] * 30
+                + [("SampleRate", False, True)] * 8)
+        plan = plan_link_tasks(keys, "auto")
+        assert plan.chunks == (tuple(range(3, 33)), tuple(range(33, 41)))
+        assert plan.singles == (0, 1, 2)
+
+    def test_table_keys_are_batch_adapted_protocols(self):
+        for (protocol, tcp), entry in BATCH_BREAK_EVEN_LINKS.items():
+            assert protocol in RATE_PROTOCOLS
+            assert isinstance(tcp, bool)
+            cls = type(RATE_PROTOCOLS[protocol](0))
+            # Entries are for classes with their own array adapter; the
+            # LoopBatchAdapter fallback did not win at both lengths.
+            assert "step_batch" in vars(cls), protocol
+            # ... and reachable within one chunk.
+            assert 1 <= entry <= BATCH_SIZE
 
     def test_forced_batch_keeps_singletons_batched(self):
-        plan = plan_link_tasks(self.KEYS, "batch", batch_size=64)
+        plan = plan_link_tasks(self.KEYS, "batch")
         assert plan.singles == ()
         assert set(plan.engines) == {"batch"}
 
@@ -195,8 +268,9 @@ class TestSessionEquivalence:
         assert len(run.results) == GRID.n_tasks
         assert len(run.task_engines) == GRID.n_tasks
         assert run.elapsed_s > 0
-        # auto batches every group here (each has 2 >= min_batch tasks)
-        assert run.engine == "batch"
+        # Every group (2 tasks; 6 links for best-SampleRate) is below
+        # its break-even width.
+        assert run.engine == "fast"
 
     def test_single_link_full_result(self):
         spec = LinkReplaySpec(protocol="RapidSample", env="office",

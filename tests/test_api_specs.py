@@ -81,6 +81,34 @@ class TestRoundTripEquality:
                             "warp_factor": 9})
 
 
+class TestSpecValidation:
+    def test_best_samplerate_on_other_protocol_rejected(self):
+        # The bias replays SampleRate windows; on another protocol it
+        # would return SampleRate numbers under that protocol's label.
+        with pytest.raises(ConfigError, match="best_samplerate"):
+            LinkReplaySpec(protocol="RapidSample", best_samplerate=True)
+        with pytest.raises(ConfigError, match="best_samplerate"):
+            GridSpec(protocols=("RapidSample",),
+                     best_samplerate_protocols=("RapidSample",))
+
+    def test_best_samplerate_on_samplerate_accepted(self):
+        assert LinkReplaySpec(protocol="SampleRate",
+                              best_samplerate=True).best_samplerate
+        grid = GridSpec(protocols=("RapidSample", "SampleRate"))
+        assert [link.best_samplerate for link in grid.expand(0)[:2]] \
+            == [False, True]
+
+    @pytest.mark.parametrize("duration_s",
+                             [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_duration_rejected(self, duration_s):
+        with pytest.raises(ConfigError, match="duration_s"):
+            LinkReplaySpec(protocol="RapidSample", duration_s=duration_s)
+        with pytest.raises(ConfigError, match="duration_s"):
+            GridSpec(protocols=("RapidSample",), duration_s=duration_s)
+        with pytest.raises(ConfigError, match="duration_s"):
+            NetworkRunSpec(scenario="dense_cell", duration_s=duration_s)
+
+
 class TestRoundTripReplaysBitIdentically:
     def test_golden_link_replay(self, session):
         spec = LinkReplaySpec(protocol="RapidSample", env="office",

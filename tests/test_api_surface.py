@@ -76,3 +76,16 @@ def test_repro_exports_api_lazily():
     assert "api" in repro.__all__
     assert repro.api is api
     assert "api" in dir(repro)
+
+
+def test_planning_has_no_tuning_knobs():
+    # Batch widths come from the planner's measured break-even table,
+    # not from per-session knobs.
+    import inspect
+
+    from repro.api.planner import plan_link_tasks
+
+    assert tuple(inspect.signature(api.Session).parameters) \
+        == ("engine", "jobs", "store", "seed")
+    assert tuple(inspect.signature(plan_link_tasks).parameters) \
+        == ("keys", "engine")
