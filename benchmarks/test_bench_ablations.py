@@ -1,4 +1,5 @@
-"""Ablations of the design choices DESIGN.md calls out."""
+"""Ablations of hint-aware design choices: RapidSample's fail window,
+its history reset on movement, and the post-movement fast-probe hold."""
 
 import numpy as np
 from conftest import run_once

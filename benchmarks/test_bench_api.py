@@ -4,10 +4,9 @@ Two legs, each bit-identical to its comparison path:
 
 * the mixed 64-task RapidSample/UDP grid, where every group is wide
   enough for the batch engine: a default ``Session`` -- which *plans*
-  the workload instead of being hand-pointed at
-  :class:`BatchExperimentPool` -- must batch all of it and be no slower
-  than the hand-picked pool path beyond the repo's standard 20%
-  tolerance;
+  the workload -- must batch all of it and be no slower than a session
+  hand-pointed at the batch engine (``engine="batch"``, the same single
+  64-task chunk) beyond the repo's standard 20% tolerance;
 * the ``runner --quick`` Figure 3-5 shape (6 protocols x 3 environments
   x 4 mixed traces, TCP), whose 12-task groups are narrower than the
   batch engine's break-even widths: ``Session(engine="auto")`` must be
@@ -22,16 +21,15 @@ pins when present.
 
 from conftest import check_regression, load_bench_baseline, write_bench_artifact
 
-from test_bench_engine import _best_of_cpu, _GRID_DURATION_S, _grid_tasks
+from test_bench_engine import (
+    _best_of_cpu,
+    _grid_specs,
+    _map_throughputs,
+    _warm_grid,
+)
 
 from repro.api import GridSpec, Session
-from repro.experiments.common import (
-    INDOOR_OUTDOOR_ENVS,
-    RATE_PROTOCOLS,
-    cached_hints,
-    cached_trace,
-)
-from repro.experiments.parallel import BatchExperimentPool
+from repro.experiments.common import INDOOR_OUTDOOR_ENVS, RATE_PROTOCOLS
 
 #: Numbers of every leg run by this pytest process, written as one
 #: artifact.
@@ -43,55 +41,40 @@ _QUICK_TRACES = 4
 _QUICK_DURATION_S = 4.0
 
 
-def _grid_specs():
-    """The 64-task grid as specs: one GridSpec per mobility mode, whose
-    concatenated expansion order equals the legacy task list."""
-    return [
-        GridSpec(protocols=("RapidSample",), envs=(env,), mode=mode,
-                 n_seeds=16, seed0=0, duration_s=_GRID_DURATION_S,
-                 tcp=False, best_samplerate_protocols=())
-        for mode, env in (("static", "office"), ("mobile", "office"),
-                          ("mixed", "hallway"), ("vehicular", "vehicular"))
-    ]
-
-
 def test_session_auto_no_slower_than_hand_picked_pool():
     import pytest
 
     pytest.importorskip("pytest_benchmark")
 
-    tasks = _grid_tasks()
-    for task in tasks:  # warm the store outside the timings
-        cached_trace(task.env, task.mode, task.seed, task.duration_s)
-        cached_hints(task.mode, task.seed, task.duration_s)
-
-    pool = BatchExperimentPool(jobs=1)
-    session = Session(jobs=1)          # engine="auto"
     specs = _grid_specs()
+    _warm_grid(specs)
 
-    t_pool, pool_grid = _best_of_cpu(lambda: pool.throughputs(tasks))
+    pool = Session(engine="batch", jobs=1)
+    session = Session(jobs=1)          # engine="auto"
+
+    t_pool, pool_grid = _best_of_cpu(lambda: _map_throughputs(pool, specs))
     t_session, session_runs = _best_of_cpu(lambda: session.map(specs))
 
     session_grid = [v for run in session_runs for v in run.throughputs]
-    assert session_grid == pool_grid, "session plan diverged from pool"
+    assert session_grid == pool_grid, "session plan diverged from batch"
     assert all(run.engine == "batch" for run in session_runs), (
         "auto stopped batching the 64-task grid"
     )
 
     ratio = t_pool / t_session
-    print(f"\n[api] mixed 64-task grid: BatchExperimentPool {t_pool:.2f}s, "
+    print(f"\n[api] mixed 64-task grid: Session(batch) {t_pool:.2f}s, "
           f"Session(auto) {t_session:.2f}s -> {ratio:.2f}x")
     _ARTIFACT.update({
-        "grid_tasks": len(tasks),
+        "grid_tasks": len(pool_grid),
         "pool_s": t_pool,
         "session_s": t_session,
         "session_vs_pool": ratio,
     })
     write_bench_artifact("api", _ARTIFACT)
     # The hard acceptance floor: auto planning may cost at most the
-    # repo's standard 20% tolerance over the hand-picked pool.
+    # repo's standard 20% tolerance over the hand-picked batch engine.
     assert ratio >= 0.8, (
-        f"Session(auto) is >20% slower than BatchExperimentPool "
+        f"Session(auto) is >20% slower than Session(engine='batch') "
         f"({ratio:.2f}x)"
     )
     check_regression(ratio, load_bench_baseline("api"), "session_vs_pool")
@@ -107,9 +90,7 @@ def test_session_auto_no_slower_than_fast_on_quick_fig3_5():
                     n_seeds=_QUICK_TRACES, seed0=0,
                     duration_s=_QUICK_DURATION_S, tcp=True,
                     best_samplerate_protocols=("SampleRate",))
-    for link in grid.expand(grid.seed0):  # warm outside the timings
-        cached_trace(link.env, link.mode, link.seed, link.duration_s)
-        cached_hints(link.mode, link.seed, link.duration_s)
+    _warm_grid([grid])
 
     auto, fast = Session(jobs=1), Session(engine="fast", jobs=1)
     t_auto, auto_run = _best_of_cpu(lambda: auto.run(grid))

@@ -6,11 +6,12 @@ Three layers:
 * the fast engine's >= 3x single-link speedup over the reference loop
   (its reason to exist, from PR 1), guarded against regressing more
   than 20% below the committed ``BENCH_engine_baseline.json`` pin;
-* two 64-task fig3-style grids through :class:`BatchExperimentPool`:
-  a mixed-mode RapidSample/UDP grid (the Chapter 3 evaluation shape)
-  and a cruise-friendly fixed-rate grid (the fig 3-1 style single-rate
-  replay sweep), each asserted bit-identical to serial fast-engine runs
-  and pinned against their baseline speedups.
+* two 64-task fig3-style grids on the batch engine: a mixed-mode
+  RapidSample/UDP grid (the Chapter 3 evaluation shape) through
+  ``Session(engine="batch")`` vs ``Session(engine="fast")``, and a
+  cruise-friendly fixed-rate grid (the fig 3-1 style single-rate replay
+  sweep) at engine level, each asserted bit-identical to serial
+  fast-engine runs and pinned against their baseline speedups.
 
 Ratios are measured in CPU time (best of three) so the pins are stable
 under machine noise, and every measured number is emitted as a
@@ -28,14 +29,10 @@ from conftest import (
 
 import numpy as np
 
+from repro.api import GridSpec, Session
 from repro.channel import OFFICE, generate_trace
 from repro.core.architecture import HintAwareNode
 from repro.experiments.common import cached_hints, cached_trace
-from repro.experiments.parallel import (
-    BatchExperimentPool,
-    ExperimentPool,
-    ThroughputTask,
-)
 from repro.mac import BatchLinkSpec, SimConfig, UdpSource, run_batch, run_link
 from repro.rate import FixedRate, RapidSample
 from repro.sensors import mixed_mobility_script
@@ -74,13 +71,28 @@ def _best_of_cpu(fn, rounds=3):
     return best, result
 
 
-def _grid_tasks():
+def _grid_specs():
+    """The 64-task grid as one GridSpec per mobility mode; a session
+    pools the four before planning, so RapidSample's 64 tasks form one
+    batch chunk."""
     return [
-        ThroughputTask(protocol="RapidSample", env=env, mode=mode, seed=seed,
-                       duration_s=_GRID_DURATION_S, tcp=False)
+        GridSpec(protocols=("RapidSample",), envs=(env,), mode=mode,
+                 n_seeds=_GRID_SEEDS, seed0=0, duration_s=_GRID_DURATION_S,
+                 tcp=False, best_samplerate_protocols=())
         for mode, env in _GRID_MODES
-        for seed in range(_GRID_SEEDS)
     ]
+
+
+def _warm_grid(specs) -> None:
+    """Fill the trace store (and caches) outside the timings."""
+    for spec in specs:
+        for link in spec.expand(spec.seed0):
+            cached_trace(link.env, link.mode, link.seed, link.duration_s)
+            cached_hints(link.mode, link.seed, link.duration_s)
+
+
+def _map_throughputs(session, specs) -> list:
+    return [v for run in session.map(specs) for v in run.throughputs]
 
 
 def _fixed_grid_cases():
@@ -161,15 +173,13 @@ def test_batch_grid_speedup_and_equivalence():
     pytest.importorskip("pytest_benchmark")
     baseline = load_bench_baseline("engine")
 
-    # --- mixed-mode RapidSample grid, through the pools --------------
-    tasks = _grid_tasks()
-    for task in tasks:  # warm the trace store outside the timings
-        cached_trace(task.env, task.mode, task.seed, task.duration_s)
-        cached_hints(task.mode, task.seed, task.duration_s)
-    fast_pool = ExperimentPool(jobs=1)
-    batch_pool = BatchExperimentPool(jobs=1)
-    t_fast, fast_grid = _best_of_cpu(lambda: fast_pool.throughputs(tasks))
-    t_batch, batch_grid = _best_of_cpu(lambda: batch_pool.throughputs(tasks))
+    # --- mixed-mode RapidSample grid, through sessions ---------------
+    specs = _grid_specs()
+    _warm_grid(specs)
+    fast = Session(engine="fast", jobs=1)
+    batch = Session(engine="batch", jobs=1)
+    t_fast, fast_grid = _best_of_cpu(lambda: _map_throughputs(fast, specs))
+    t_batch, batch_grid = _best_of_cpu(lambda: _map_throughputs(batch, specs))
     grid_speedup = t_fast / t_batch
     assert batch_grid == fast_grid, "batch grid diverged from fast grid"
 
@@ -210,7 +220,7 @@ def test_batch_grid_speedup_and_equivalence():
     print(f"[batch grid] fig3-1 fixed-rate x64: fast {t_ffast:.2f}s, "
           f"batch {t_fbatch:.2f}s -> {cruise_speedup:.2f}x")
     write_bench_artifact("engine", {
-        "grid_tasks": len(tasks),
+        "grid_tasks": len(fast_grid),
         "grid_duration_s": _GRID_DURATION_S,
         "fast_grid_s": t_fast,
         "batch_grid_s": t_batch,

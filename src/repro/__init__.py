@@ -41,9 +41,9 @@ power, phy
 analysis
     Loss-lag correlation (Figure 3-1) and statistics helpers.
 experiments
-    One driver per paper table/figure plus the parallel executor
-    (``experiments.parallel``) and the full-suite runner; see DESIGN.md
-    for the index.
+    One driver per paper table/figure plus the ordered worker map
+    (``experiments.parallel``) and the full-suite runner; the README's
+    "Layout" section indexes them.
 """
 
 __version__ = "1.0.0"

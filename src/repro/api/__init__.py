@@ -20,10 +20,8 @@ provenance seeds.
     print(run.throughputs, run.engine, run.elapsed_s)
 
 Every figure driver, the runner and the examples go through this layer;
-the legacy hand-wired entry points (``ExperimentPool``,
-``BatchExperimentPool``, per-driver ``jobs=`` arguments) remain as thin
-deprecation shims over it.  This surface is pinned by
-``tests/test_api_surface.py`` -- grow it deliberately.
+it is the only way the repository runs workloads.  This surface is
+pinned by ``tests/test_api_surface.py`` -- grow it deliberately.
 """
 
 from .config import SESSION_ENGINES, ConfigError

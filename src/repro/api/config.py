@@ -1,19 +1,17 @@
 """Session configuration resolution: strict, early, in one place.
 
-The execution substrate reads two environment knobs -- ``REPRO_JOBS``
+The execution layer reads two environment knobs -- ``REPRO_JOBS``
 (worker-process count) and ``REPRO_TRACE_STORE`` (on-disk trace-store
-root).  Historically a malformed value surfaced badly: the parallel
-executor swallowed non-integer ``REPRO_JOBS`` and silently ran serial,
-while a pathological store path (an embedded NUL byte, a root that is a
-regular file) raised a bare ``ValueError``/``OSError`` deep inside
-:mod:`repro.channel.store` on the first cache access, far from the
-misconfiguration.
+root).  A malformed value must not surface deep inside the executor or
+the trace store: a pathological store path (an embedded NUL byte, a
+root that is a regular file) would otherwise raise a bare
+``ValueError``/``OSError`` inside :mod:`repro.channel.store` on the
+first cache access, far from the misconfiguration.
 
-:class:`~repro.api.session.Session` is the public entry point, so it
+:class:`~repro.api.session.Session` is the one entry point, so it
 validates its whole configuration at construction through the resolvers
 here and raises one clear :class:`ConfigError` naming the offending
-knob and value.  The legacy helpers keep their forgiving behaviour for
-backward compatibility; new code goes through the session.
+knob and value.
 """
 
 from __future__ import annotations
@@ -52,20 +50,13 @@ def resolve_engine(engine: str) -> str:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Worker-process count from the argument, the process-wide default
-    (:func:`repro.experiments.parallel.set_default_jobs`, which the
-    runner's ``--jobs`` flag sets), or ``REPRO_JOBS`` -- in that order,
-    like the legacy pools.
+    """Worker-process count from the argument, else ``REPRO_JOBS``,
+    else 1.
 
     Whichever source applies must be an integer >= 1; anything else
-    raises :class:`ConfigError` (the legacy
-    :func:`repro.experiments.parallel.default_jobs` silently fell back
-    to 1, hiding typos like ``REPRO_JOBS=four``).
+    raises :class:`ConfigError` -- a typo like ``REPRO_JOBS=four`` never
+    silently runs serial.
     """
-    if jobs is None:
-        from ..experiments.parallel import configured_default_jobs
-
-        jobs = configured_default_jobs()
     if jobs is not None:
         source = f"jobs={jobs!r}"
         value = jobs

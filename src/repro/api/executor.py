@@ -2,19 +2,18 @@
 
 A planned workload is a list of :class:`LinkTask` / :class:`NetworkTask`
 values -- specs with their seed resolved and their replay engine chosen
--- mapped over :class:`~repro.experiments.parallel.ExperimentPool`
-workers by the top-level functions here.  Imports inside the workers
-are lazy (like the legacy :mod:`repro.experiments.parallel` workers)
-so spawning the module in a worker process stays cheap.
+-- mapped over worker processes
+(:func:`repro.experiments.parallel.ordered_map`) by the top-level
+functions here.  Imports inside the workers are lazy so spawning the
+module in a worker process stays cheap.
 
 Equivalence contract: for the same (protocol, env/mode or segments,
-seed, traffic), :func:`run_link_task` and :func:`run_link_group`
-produce **bit-identical** :class:`~repro.mac.SimResult`\\ s to the
-legacy ``run_throughput_task`` / ``run_batch_tasks`` paths -- they
-build the same controllers, traces, hint series and ``SimConfig``
-seeds, and the engines themselves are pinned bit-identical.  The
-best-SampleRate reduction keeps the first window maximising throughput,
-matching the legacy ``max()`` over window throughputs exactly.
+seed, traffic), :func:`run_link_task` on any engine and
+:func:`run_link_group` produce **bit-identical**
+:class:`~repro.mac.SimResult`\\ s -- they build the same controllers,
+traces, hint series and ``SimConfig`` seeds, and the engines themselves
+are pinned bit-identical.  The best-SampleRate reduction keeps the
+first window maximising throughput.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def _controllers(task: LinkTask) -> list:
 
 
 def _best(results: list):
-    """First result maximising throughput (== legacy ``max`` of floats)."""
+    """First result maximising throughput."""
     best = results[0]
     for result in results[1:]:
         if result.throughput_mbps > best.throughput_mbps:
@@ -121,8 +120,8 @@ def run_link_group(tasks: tuple):
     planner sends a chunk here only at or above its break-even width;
     the batch engine replays the whole ragged group in lockstep
     (candidate SampleRate windows expand into extra links and reduce
-    back to the per-task best).  Mirrors
-    :func:`repro.experiments.parallel.run_batch_tasks` link for link.
+    back to the per-task best).  Builds exactly the links
+    :func:`run_link_task` would replay one by one.
     """
     from ..mac import SimConfig, TcpSource, UdpSource
     from ..mac.batch import BatchLinkSpec, run_batch
@@ -149,7 +148,7 @@ def warm_script_task(args: tuple) -> None:
     """Top-level worker: generate one segments-script artefact.
 
     ``("trace", env, segments, seed)`` or ``("hints", segments, seed)``
-    -- the explicit-script twin of the legacy
+    -- the explicit-script twin of
     :func:`repro.experiments.parallel.warm_cache_task`, so grids of
     hand-built-script replays (e.g. the supermarket example's workload)
     fill a cold store one artefact per worker too.
@@ -168,10 +167,9 @@ def warm_script_task(args: tuple) -> None:
 def warm_network_task(args: tuple) -> None:
     """Top-level worker: generate one station's trace + hint artefacts.
 
-    ``(scenario, seed, duration_s, overrides, station_index)`` -- the
-    overrides-aware twin of the legacy
-    :func:`repro.experiments.fig5_net.warm_scenario_task`, so sessions
-    warm exactly the worlds their specs describe.
+    ``(scenario, seed, duration_s, overrides, station_index)`` -- one
+    store artefact pair per worker call, covering catalog overrides, so
+    sessions warm exactly the worlds their specs describe.
     """
     from ..network import make_scenario, station_hints, station_trace
 

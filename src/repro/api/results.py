@@ -21,8 +21,8 @@ __all__ = ["NetworkSummary", "RunResult"]
 class NetworkSummary:
     """Digest of one scenario replay (picklable across pool workers).
 
-    Field-compatible with the dict rows the ``fig5_net`` grid driver
-    has always aggregated (see :meth:`to_dict`); built from a full
+    :meth:`to_dict` gives the plain dict rows the ``fig5_net`` grid
+    driver aggregates; built from a full
     :class:`~repro.network.NetworkResult` via :meth:`from_result`.
     """
 
@@ -44,7 +44,7 @@ class NetworkSummary:
         )
 
     def to_dict(self) -> dict:
-        """The legacy grid-row dict shape (drivers aggregate this)."""
+        """The grid-row dict shape (drivers aggregate this)."""
         return {
             "aggregate_mbps": self.aggregate_mbps,
             "stations_mbps": dict(self.stations_mbps),

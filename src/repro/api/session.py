@@ -1,9 +1,9 @@
 """The session: one entry point for running every workload.
 
-A :class:`Session` owns the execution policy the drivers used to
-hand-wire -- seed lineage (:func:`~repro.core.seeds.derive_seed` from
-the session seed), the on-disk trace store, the worker-process count,
-and the engine preference -- and validates all of it eagerly (one
+A :class:`Session` owns the execution policy -- seed lineage
+(:func:`~repro.core.seeds.derive_seed` from the session seed), the
+on-disk trace store, the worker-process count, and the engine
+preference -- and validates all of it eagerly (one
 :class:`~repro.api.config.ConfigError` instead of scattered failures).
 :meth:`Session.run` / :meth:`Session.map` then *plan* each declarative
 spec: grid tasks are grouped by batchability and dispatched to the
@@ -13,9 +13,10 @@ network scenarios pick the batch scenario engine when the cell is dense
 enough to amortise it; and cold trace stores are pre-warmed one
 artefact per worker before any grid fans out.
 
-Everything is bit-identical to the legacy hand-wired paths: the same
-controllers, traces, seeds and (pinned-equivalent) engines, so a
-driver ported to specs reproduces its old numbers exactly.
+Results do not depend on the plan: every engine runs the same
+controllers, traces and seeds, and the engines are pinned
+bit-identical, so the engine choice and the worker count only change
+how fast a workload completes.
 
 >>> from repro.api import GridSpec, Session
 >>> session = Session(jobs=1)
@@ -116,8 +117,6 @@ class Session:
         single-mode grids batch as one workload; results come back in
         spec order regardless of how the plan interleaved them.
         """
-        from ..experiments.parallel import ExperimentPool, warm_cache_task
-
         start = time.perf_counter()
         specs = list(specs)
         pending_links: list[tuple[int, LinkReplaySpec]] = []
@@ -141,10 +140,8 @@ class Session:
                     f"LinkReplaySpec, GridSpec or NetworkRunSpec"
                 )
 
-        pool = ExperimentPool(self.jobs)
-        self._warm_links([link for _, link in pending_links], pool,
-                         warm_cache_task)
-        self._warm_networks([task for _, task in pending_nets], pool)
+        self._warm_links([link for _, link in pending_links])
+        self._warm_networks([task for _, task in pending_nets])
 
         # --- link tasks: plan, then chunks first --------------------
         keys = [(link.protocol, link.tcp, link.best_samplerate)
@@ -158,20 +155,20 @@ class Session:
             for i, (_, link) in enumerate(pending_links)
         ]
         link_results: list = [None] * len(tasks)
-        chunk_results = pool.map(
+        chunk_results = self.scatter(
             run_link_group, [tuple(tasks[i] for i in chunk)
                              for chunk in plan.chunks])
         for chunk, values in zip(plan.chunks, chunk_results):
             for i, value in zip(chunk, values):
                 link_results[i] = value
         for i, value in zip(plan.singles,
-                            pool.map(run_link_task,
-                                     [tasks[i] for i in plan.singles])):
+                            self.scatter(run_link_task,
+                                         [tasks[i] for i in plan.singles])):
             link_results[i] = value
 
         # --- network tasks --------------------------------------------
-        net_results = pool.map(run_network_task,
-                               [task for _, task in pending_nets])
+        net_results = self.scatter(run_network_task,
+                                   [task for _, task in pending_nets])
 
         elapsed = time.perf_counter() - start
         out: list[RunResult] = []
@@ -183,7 +180,7 @@ class Session:
                     results=tuple(link_results[i] for i in window),
                     task_engines=tuple(plan.engines[i] for i in window),
                     seeds=tuple(pending_links[i][1].seed for i in window),
-                    jobs=pool.jobs,
+                    jobs=self.jobs,
                     elapsed_s=elapsed,
                 ))
             else:
@@ -193,7 +190,7 @@ class Session:
                     results=(net_results[offset],),
                     task_engines=(task.engine,),
                     seeds=(task.seed,),
-                    jobs=pool.jobs,
+                    jobs=self.jobs,
                     elapsed_s=elapsed,
                 ))
         return out
@@ -204,11 +201,14 @@ class Session:
         The escape hatch for fan-outs that are not replay specs (trace
         synthesis sweeps, vehicular network ensembles): same ordered
         collection and determinism guarantees as :meth:`map`, same
-        worker count, no planning.
+        worker count, no planning.  :meth:`map` fans its planned tasks
+        out through here too.
         """
-        from ..experiments.parallel import ExperimentPool
+        # Deferred: importing repro.experiments imports the drivers,
+        # which import this package.
+        from ..experiments.parallel import ordered_map
 
-        return ExperimentPool(self.jobs).map(fn, items)
+        return ordered_map(fn, items, self.jobs)
 
     # ------------------------------------------------------------------
     # Seed lineage
@@ -245,9 +245,9 @@ class Session:
                            overrides=spec.overrides, engine=engine)
 
     # ------------------------------------------------------------------
-    # Store pre-warm (one worker per unique artefact, like the drivers)
+    # Store pre-warm (one worker per unique artefact)
     # ------------------------------------------------------------------
-    def _warm_links(self, links, pool, warm_cache_task) -> None:
+    def _warm_links(self, links) -> None:
         """Cold-store pre-warm for link grids (parallel runs only).
 
         Protocol replays sharing a (env, mode, seed) trace -- or a
@@ -255,8 +255,10 @@ class Session:
         one worker each; on a warm store this is a cheap no-op pass.
         Serial runs warm lazily through the caches.
         """
-        if pool.jobs <= 1 or not get_store().enabled:
+        if self.jobs <= 1 or not get_store().enabled:
             return
+        from ..experiments.parallel import warm_cache_task
+
         warm: list[tuple] = []
         seen: set[tuple] = set()
         hints: list[tuple] = []
@@ -280,11 +282,11 @@ class Session:
                 seen.add(hint_key)
                 hints.append(hint_key)
         if warm or hints:
-            pool.map(warm_cache_task, warm + hints)
+            self.scatter(warm_cache_task, warm + hints)
         if script_warm:
-            pool.map(warm_script_task, script_warm)
+            self.scatter(warm_script_task, script_warm)
 
-    def _warm_networks(self, tasks, pool) -> None:
+    def _warm_networks(self, tasks) -> None:
         """Per-station artefact pre-warm for scenario replays.
 
         One (trace, hints) pair per worker call; policy and engine
@@ -312,4 +314,4 @@ class Session:
                                      **dict(task.overrides))
             warm += [world + (i,) for i in range(scenario.n_stations)]
         if warm:
-            pool.map(warm_network_task, warm)
+            self.scatter(warm_network_task, warm)

@@ -32,7 +32,7 @@ from typing import Any
 
 # Canonical implementations live with the trajectory types; re-exported
 # here because specs are where API users meet the plain-value form.
-from ..sensors.trajectory import script_from_segments, segments_of
+from ..sensors.trajectory import Motion, script_from_segments, segments_of
 from .config import ConfigError
 
 __all__ = [
@@ -53,11 +53,28 @@ LINK_MODES = ("static", "mobile", "mixed", "vehicular")
 #: ``(kind, duration_s, speed_mps, heading_deg, turn_rate_dps, outdoor)``.
 _SEGMENT_FIELDS = 6
 
+#: Segment kinds: the :class:`~repro.sensors.trajectory.Motion` values.
+_SEGMENT_KINDS = tuple(motion.value for motion in Motion)
 
+
+def _segment_number(seg: tuple, name: str, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"segment {seg!r}: {name} must be a finite "
+                          f"number, not {value!r}")
+    return number
 
 
 def _normalise_segments(segments) -> tuple[tuple, ...] | None:
-    """Canonical tuple form (JSON decodes to lists; specs hold tuples)."""
+    """Canonical tuple form (JSON decodes to lists; specs hold tuples).
+
+    Validates each segment here, at spec construction, so a malformed
+    script fails as a :class:`ConfigError` instead of inside a worker
+    mid-replay.
+    """
     if segments is None:
         return None
     out = []
@@ -70,8 +87,19 @@ def _normalise_segments(segments) -> tuple[tuple, ...] | None:
                 f"turn_rate_dps, outdoor)"
             )
         kind, duration_s, speed_mps, heading_deg, turn_rate_dps, outdoor = seg
-        out.append((str(kind), float(duration_s), float(speed_mps),
-                    float(heading_deg), float(turn_rate_dps), bool(outdoor)))
+        if kind not in _SEGMENT_KINDS:
+            raise ConfigError(f"segment {seg!r}: unknown kind {kind!r}; "
+                              f"expected one of {_SEGMENT_KINDS}")
+        duration_s = _segment_number(seg, "duration_s", duration_s)
+        speed_mps = _segment_number(seg, "speed_mps", speed_mps)
+        if duration_s <= 0:
+            raise ConfigError(f"segment {seg!r}: duration_s must be > 0")
+        if speed_mps < 0:
+            raise ConfigError(f"segment {seg!r}: speed_mps must be >= 0")
+        out.append((kind, duration_s, speed_mps,
+                    _segment_number(seg, "heading_deg", heading_deg),
+                    _segment_number(seg, "turn_rate_dps", turn_rate_dps),
+                    bool(outdoor)))
     if not out:
         raise ConfigError("segments must be None or non-empty")
     return tuple(out)

@@ -1,6 +1,7 @@
-"""Experiment drivers: one module per paper table/figure (see DESIGN.md
-for the experiment index).  Each exposes ``run(...) -> dict`` and a
-printing ``main()``; ``runner.main()`` runs the full evaluation."""
+"""Experiment drivers: one module per paper table/figure, named after
+it (the README's "Layout" section indexes them).  Each exposes
+``run(...) -> dict`` and a printing ``main()``; ``runner.main()`` runs
+the full evaluation."""
 
 from . import (
     common,

@@ -6,8 +6,8 @@ displays -- plus a ``main()`` that prints it.  Heavy intermediates
 (traces, hint series) are memoised at two levels: an in-process
 ``lru_cache`` for the figures of one run, layered over the on-disk
 content-addressed :mod:`repro.channel.store`, which repeated runs and
-:class:`~repro.experiments.parallel.ExperimentPool` worker processes
-share instead of regenerating traces per process.
+:class:`repro.api.Session` worker processes share instead of
+regenerating traces per process.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from ..channel import ChannelTrace, Environment, environment_by_name, generate_trace, get_store
 from ..core.architecture import HintAwareNode, HintSeries
-from ..mac import SimConfig, TcpSource, UdpSource, run_link
-from ..rate import RATE_PROTOCOLS, SampleRate
+from ..rate import RATE_PROTOCOLS
 from ..sensors import (
     MotionScript,
     drive_by_script,
@@ -37,8 +36,6 @@ __all__ = [
     "cached_hints",
     "cached_script_trace",
     "cached_script_hints",
-    "protocol_throughput",
-    "best_samplerate_throughput",
     "print_table",
 ]
 
@@ -175,44 +172,6 @@ def cached_script_hints(segments: tuple, seed: int) -> HintSeries:
     series = node.movement_hint_series()
     store.put_series(key, series.times_s, series.values)
     return series
-
-
-def protocol_throughput(
-    protocol: str,
-    env_name: str,
-    mode: str,
-    seed: int,
-    duration_s: float = 20.0,
-    tcp: bool = True,
-) -> float:
-    """Throughput (Mb/s) of one protocol on one trace."""
-    trace = cached_trace(env_name, mode, seed, duration_s)
-    hints = cached_hints(mode, seed, duration_s)
-    controller = RATE_PROTOCOLS[protocol](seed)
-    traffic = TcpSource() if tcp else UdpSource()
-    result = run_link(trace, controller, traffic=traffic,
-                      hint_series=hints, config=SimConfig(seed=seed))
-    return result.throughput_mbps
-
-
-def best_samplerate_throughput(env_name: str, mode: str, seed: int,
-                               duration_s: float = 20.0,
-                               tcp: bool = True) -> float:
-    """The paper's bias in SampleRate's favour: best window per trace.
-
-    "We post-process the trace to determine the best SampleRate
-    parameter to use in each case."
-    """
-    trace = cached_trace(env_name, mode, seed, duration_s)
-    hints = cached_hints(mode, seed, duration_s)
-    best = 0.0
-    for window_s in SAMPLERATE_WINDOWS_S:
-        controller = SampleRate(window_s=window_s)
-        traffic = TcpSource() if tcp else UdpSource()
-        result = run_link(trace, controller, traffic=traffic,
-                          hint_series=hints, config=SimConfig(seed=seed))
-        best = max(best, result.throughput_mbps)
-    return best
 
 
 def print_table(title: str, rows: dict, value_format: str = "{:.3f}") -> None:

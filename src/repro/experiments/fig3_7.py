@@ -13,16 +13,14 @@ from .fig3_5 import run_comparison
 __all__ = ["run", "main"]
 
 
-def run(seed: int = 0, n_traces: int = 10, jobs: int | None = None,
-        session=None) -> dict:
+def run(seed: int = 0, n_traces: int = 10, session=None) -> dict:
     return run_comparison("static", n_traces=n_traces,
-                          normalise="RapidSample", seed0=seed, jobs=jobs,
+                          normalise="RapidSample", seed0=seed,
                           session=session)
 
 
-def main(seed: int = 0, n_traces: int = 10, jobs: int | None = None,
-         session=None) -> dict:
-    result = run(seed, n_traces, jobs=jobs, session=session)
+def main(seed: int = 0, n_traces: int = 10, session=None) -> dict:
+    result = run(seed, n_traces, session=session)
     for env, data in result["envs"].items():
         print_table(
             f"Figure 3-7 ({env}): throughput / RapidSample, static",

@@ -14,8 +14,7 @@ from .fig3_5 import run_comparison
 __all__ = ["run", "main"]
 
 
-def run(seed: int = 0, n_traces: int = 10, jobs: int | None = None,
-        session=None) -> dict:
+def run(seed: int = 0, n_traces: int = 10, session=None) -> dict:
     return run_comparison(
         "vehicular",
         environments=("vehicular",),
@@ -24,14 +23,12 @@ def run(seed: int = 0, n_traces: int = 10, jobs: int | None = None,
         tcp=False,
         normalise="RapidSample",
         seed0=seed,
-        jobs=jobs,
         session=session,
     )
 
 
-def main(seed: int = 0, n_traces: int = 10, jobs: int | None = None,
-         session=None) -> dict:
-    result = run(seed, n_traces, jobs=jobs, session=session)
+def main(seed: int = 0, n_traces: int = 10, session=None) -> dict:
+    result = run(seed, n_traces, session=session)
     data = result["envs"]["vehicular"]
     print_table(
         "Figure 3-8 (vehicular): UDP throughput / RapidSample",

@@ -151,16 +151,16 @@ def _weak_trace_task(args: tuple[str, int, float]) -> ChannelTrace:
 
 def run_fig4_2_4_3(
     n_traces: int = 20, duration_s: float = 180.0, seed0: int = 0,
-    jobs: int | None = None, session: Session | None = None,
+    session: Session | None = None,
 ) -> dict:
     """Error vs probing rate, static and mobile, plus the rate-gap ratio.
 
     Trace synthesis (the dominant cost: minutes of fading at 1 ms
     resolution per trace) fans out over :meth:`repro.api.Session.scatter`
-    workers (``jobs`` is the legacy shim for callers without a session).
+    workers (a default ``Session()`` when none is passed).
     """
     if session is None:
-        session = Session(jobs=jobs)
+        session = Session()
     tasks = [("static", seed0 + i, duration_s) for i in range(n_traces)]
     tasks += [("mobile", seed0 + 1000 + i, duration_s) for i in range(n_traces)]
     traces = session.scatter(_weak_trace_task, tasks)
@@ -248,15 +248,14 @@ def run_fig4_6(seed: int = 0, duration_s: float = 60.0) -> dict:
     }
 
 
-def main(seed: int = 0, jobs: int | None = None,
-         session: Session | None = None) -> dict:
+def main(seed: int = 0, session: Session | None = None) -> dict:
     fig41 = run_fig4_1(seed)
     print_table("Figure 4-1: delivery fluctuation (1 s buckets)", {
         "P(jump>20% | moving)": fig41["jumps_moving_over_20pct"],
         "P(jump>20% | static)": fig41["jumps_static_over_20pct"],
     })
     fig423 = run_fig4_2_4_3(n_traces=8, duration_s=120.0, seed0=seed,
-                            jobs=jobs, session=session)
+                            session=session)
     print_table("Figures 4-2/4-3: error vs probing rate", {
         "static error @0.1/s": fig423["static_error_at_0.1"],
         "mobile error @0.5/s": fig423["mobile_error_at_0.5"],

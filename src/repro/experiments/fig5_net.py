@@ -13,70 +13,15 @@ dense cells (bit-identical results either way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..api import NetworkRunSpec, Session
 from ..network.scenario import ASSOCIATION_POLICIES, NETWORK_ENGINES
 from .common import print_table
 
-__all__ = ["ScenarioTask", "run_scenario_task", "warm_scenario_task",
-           "run_grid", "run", "main"]
+__all__ = ["run_grid", "run", "main"]
 
 #: Association policies compared by the default grid -- the scenario
 #: registry itself, so new policies join the comparison automatically.
 POLICIES = ASSOCIATION_POLICIES
-
-
-@dataclass(frozen=True)
-class ScenarioTask:
-    """One network replay of the scenario grid (picklable)."""
-
-    scenario: str
-    seed: int
-    policy: str = "strongest"
-    duration_s: float | None = None
-    #: Scenario replay engine (bit-identical results; ``batch`` is the
-    #: fast path for dense cells, see :mod:`repro.network.batch`).
-    engine: str = "reference"
-
-
-def _build(task: ScenarioTask):
-    from ..network import make_scenario
-
-    return make_scenario(task.scenario, seed=task.seed,
-                         duration_s=task.duration_s,
-                         association_policy=task.policy,
-                         engine=task.engine)
-
-
-def run_scenario_task(task: ScenarioTask) -> dict:
-    """Top-level (picklable) worker: replay one scenario, summarise."""
-    from ..network import run_scenario
-
-    result = run_scenario(_build(task))
-    return {
-        "aggregate_mbps": result.aggregate_throughput_mbps,
-        "stations_mbps": {name: res.throughput_mbps
-                          for name, res in result.stations.items()},
-        "handoffs": result.handoff_count,
-        "mean_lifetime_s": result.mean_association_lifetime_s(),
-        "attempts": sum(res.attempts for res in result.stations.values()),
-    }
-
-
-def warm_scenario_task(args: tuple) -> None:
-    """Top-level worker: generate one station's trace + hints.
-
-    ``(scenario, seed, duration_s, station_index)`` -- one store
-    artefact pair per worker call, so a cold store is filled by the
-    pool instead of by whichever grid worker gets there first.
-    """
-    from ..network import make_scenario, station_hints, station_trace
-
-    name, seed, duration_s, index = args
-    scenario = make_scenario(name, seed=seed, duration_s=duration_s)
-    station_trace(scenario, index)
-    station_hints(scenario, index)
 
 
 def run_grid(
@@ -84,8 +29,6 @@ def run_grid(
     seeds: tuple[int, ...],
     policies: tuple[str, ...] = POLICIES,
     duration_s: float | None = None,
-    jobs: int | None = None,
-    engine: str = "auto",
     session: Session | None = None,
 ) -> dict[tuple[str, str], list[dict]]:
     """Replay every (scenario, policy) over all seeds; session fan-out.
@@ -94,14 +37,11 @@ def run_grid(
     order, identical for any job count *and any engine* -- the batch
     scenario engine is pinned bit-identical to the reference one, so
     the engine choice (including the session's ``auto`` planning) only
-    changes how fast the grid fills in.
-
-    ``jobs`` and ``engine`` are legacy shims consulted only when no
-    ``session`` is passed; a session carries its own engine preference
-    and worker count.
+    changes how fast the grid fills in.  The session (default:
+    ``Session()``) carries the engine preference and worker count.
     """
     if session is None:
-        session = Session(engine=engine, jobs=jobs)
+        session = Session()
     specs = [
         NetworkRunSpec(scenario=name, seed=seed, policy=policy,
                        duration_s=duration_s)
@@ -118,17 +58,14 @@ def run_grid(
 
 
 def run(seed: int = 0, n_seeds: int = 2, duration_s: float | None = None,
-        jobs: int | None = None,
         policies: tuple[str, ...] = POLICIES,
-        engine: str = "auto",
         session: Session | None = None) -> dict:
     """The default grid: full catalog x the association policies."""
     from ..network import scenario_names
 
     seeds = tuple(seed + i for i in range(n_seeds))
     grid = run_grid(tuple(scenario_names()), seeds, policies=policies,
-                    duration_s=duration_s, jobs=jobs, engine=engine,
-                    session=session)
+                    duration_s=duration_s, session=session)
     rows: dict[str, dict] = {}
     for (name, policy), summaries in sorted(grid.items()):
         n = len(summaries)
@@ -140,17 +77,16 @@ def run(seed: int = 0, n_seeds: int = 2, duration_s: float | None = None,
     return {"rows": rows, "grid": grid}
 
 
-def main(seed: int = 0, n_seeds: int = 2, jobs: int | None = None,
-         quick: bool = False, engine: str = "auto",
+def main(seed: int = 0, n_seeds: int = 2, quick: bool = False,
          session: Session | None = None) -> dict:
     # Quick mode: one seed, short replays, and a single policy -- at
     # 10 s no scenario hands off, so a policy comparison would just
     # duplicate every (expensive) replay for identical rows.
     duration_s = 10.0 if quick else None
     result = run(seed, n_seeds=1 if quick else n_seeds,
-                 duration_s=duration_s, jobs=jobs,
+                 duration_s=duration_s,
                  policies=("lifetime",) if quick else POLICIES,
-                 engine=engine, session=session)
+                 session=session)
     print_table(
         "Network scenarios: aggregate throughput / handoffs / lifetime",
         result["rows"],
@@ -175,8 +111,8 @@ def _cli(argv: list[str] | None = None) -> dict:
                         help="scenario replay engine (bit-identical "
                              "results; auto picks batch for dense cells)")
     args = parser.parse_args(argv)
-    return main(args.seed, n_seeds=args.seeds, jobs=args.jobs,
-                quick=args.quick, engine=args.engine)
+    return main(args.seed, n_seeds=args.seeds, quick=args.quick,
+                session=Session(engine=args.engine, jobs=args.jobs))
 
 
 if __name__ == "__main__":

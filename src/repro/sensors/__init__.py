@@ -2,7 +2,7 @@
 
 Every sensor samples a shared :class:`~repro.sensors.trajectory.MotionScript`
 ground truth and corrupts it with a calibrated noise model, replacing the
-paper's physical sensors (see DESIGN.md, "Substitutions").
+paper's physical sensors.
 """
 
 from .base import Sensor, SensorReading

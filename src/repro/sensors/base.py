@@ -4,8 +4,8 @@ The paper's hint extraction (Chapter 2) reads commodity sensors: a 500 Hz
 serial accelerometer, GPS, a digital compass, and a gyroscope.  This repo
 has no hardware, so each sensor is simulated: it samples the shared
 :class:`~repro.sensors.trajectory.MotionScript` ground truth and corrupts
-it with a realistic noise model (see DESIGN.md section 2 for why this
-substitution preserves the behaviour the hint algorithms depend on).
+it with a realistic noise model, so the hint algorithms see the same
+kind of signal they would read from hardware.
 
 Every sensor is deterministic given its seed.
 """

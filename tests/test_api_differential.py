@@ -1,153 +1,146 @@
-"""Differential pins: the session-driven drivers reproduce the
-pre-refactor execution paths byte for byte.
+"""Differential pins: the session-driven drivers reproduce committed
+driver outputs byte for byte.
 
-Each test re-creates, inline, the exact wiring a driver used before the
-``repro.api`` port -- hand-built ``ThroughputTask``/``ScenarioTask``
-grids over the legacy pools (which remain as shims) -- and compares the
-quick-scale ``runner --quick`` outputs: collected numbers *and* the
-printed report text must match exactly.  Because floats are compared
-for equality (not approximately), any drift in task ordering, seeding,
-engine selection or aggregation fails here before it can silently
-re-shape the paper's numbers.
+``tests/golden/driver_outputs.json`` holds quick-scale ``runner
+--quick``-shaped outputs recorded from the execution paths that
+predate :class:`repro.api.Session` (hand-built task grids over
+per-task worker pools): the Figure 3 comparison dicts, the printed
+Figure 3-8 report and the ``fig5_net`` grid summaries.  Floats are
+stored by ``repr`` (JSON's exact double round-trip) and compared with
+``==``, so any drift in task ordering, seeding, engine selection or
+aggregation fails here before it can silently re-shape the paper's
+numbers -- on every engine a session can force.
+
+Regenerating (after an *intentional* behaviour change):
+
+    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest \
+        tests/test_api_differential.py
+
+then commit the refreshed ``tests/golden/driver_outputs.json``.
 """
 
 import io
+import json
+import os
 from contextlib import redirect_stdout
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.api import Session
 from repro.experiments import fig3_5, fig3_8, fig5_net
-from repro.experiments.common import RATE_PROTOCOLS, print_table
-from repro.experiments.fig5_net import ScenarioTask
-from repro.experiments.parallel import ExperimentPool, ThroughputTask
-from repro.mac import mean_confidence_interval, normalise_to
 
 pytestmark = pytest.mark.slow
 
+GOLDEN_PATH = Path(__file__).parent / "golden" / "driver_outputs.json"
 
-def _legacy_run_comparison(mode, environments, n_traces, duration_s, tcp,
-                           normalise, seed0):
-    """The pre-refactor fig3_5.run_comparison, wiring preserved verbatim
-    (ExperimentPool fan-out of a hand-built ThroughputTask grid)."""
-    pool = ExperimentPool(1)
-    protocols = list(RATE_PROTOCOLS)
-    tasks = [
-        ThroughputTask(
-            protocol=protocol, env=env, mode=mode, seed=seed0 + i,
-            duration_s=duration_s, tcp=tcp,
-            best_samplerate=(protocol == "SampleRate"),
-        )
-        for env in environments
-        for i in range(n_traces)
-        for protocol in protocols
-    ]
-    throughputs = pool.throughputs(tasks)
-    out = {"mode": mode, "normalise": normalise, "envs": {}}
-    cursor = 0
-    for env in environments:
-        per_protocol = {p: [] for p in protocols}
-        for _ in range(n_traces):
-            for protocol in protocols:
-                per_protocol[protocol].append(throughputs[cursor])
-                cursor += 1
-        means = {p: float(np.mean(v)) for p, v in per_protocol.items()}
-        normalised = normalise_to(means, normalise)
-        cis = {
-            p: mean_confidence_interval(
-                np.asarray(v) / means[normalise]
-            ).half_width
-            for p, v in per_protocol.items()
-        }
-        out["envs"][env] = {
-            "normalised": normalised,
-            "ci_half_width": cis,
-            "reference_mbps": means[normalise],
-        }
-    return out
+#: Driver arguments per golden entry (embedded in the file and checked,
+#: so changing them invalidates the snapshot).
+FIG3_CASES = {
+    "mixed_office_tcp": dict(mode="mixed", environments=["office"],
+                             n_traces=2, duration_s=8.0, tcp=True,
+                             normalise="HintAware", seed0=0),
+    "vehicular_udp": dict(mode="vehicular", environments=["vehicular"],
+                          n_traces=2, duration_s=6.0, tcp=False,
+                          normalise="RapidSample", seed0=0),
+}
+FIG3_8_MAIN = dict(seed=0, n_traces=2)
+FIG5_GRID = dict(scenarios=["mixed_mobility"], seeds=[7],
+                 policies=["strongest", "lifetime"], duration_s=4.0)
+
+
+def _fig3(kwargs, session):
+    return fig3_5.run_comparison(
+        **dict(kwargs, environments=tuple(kwargs["environments"])),
+        session=session)
+
+
+def _fig3_8_stdout(session):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        fig3_8.main(**FIG3_8_MAIN, session=session)
+    return out.getvalue()
+
+
+def _fig5_grid(session):
+    return fig5_net.run_grid(tuple(FIG5_GRID["scenarios"]),
+                             tuple(FIG5_GRID["seeds"]),
+                             policies=tuple(FIG5_GRID["policies"]),
+                             duration_s=FIG5_GRID["duration_s"],
+                             session=session)
+
+
+def _snapshot(session) -> dict:
+    return {
+        "fig3_comparison": {
+            name: {"kwargs": kwargs, "output": _fig3(kwargs, session)}
+            for name, kwargs in FIG3_CASES.items()
+        },
+        "fig3_8_main": {"kwargs": FIG3_8_MAIN,
+                        "stdout": _fig3_8_stdout(session)},
+        "fig5_net_grid": {
+            "kwargs": FIG5_GRID,
+            "grid": [{"scenario": scenario, "policy": policy,
+                      "summaries": summaries}
+                     for (scenario, policy), summaries
+                     in _fig5_grid(session).items()],
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
+        GOLDEN_PATH.write_text(json.dumps(_snapshot(Session(jobs=1)),
+                                          indent=2, sort_keys=True,
+                                          allow_nan=False) + "\n")
+        pytest.skip(f"regenerated {GOLDEN_PATH}")
+    data = json.loads(GOLDEN_PATH.read_text())
+    assert {name: entry["kwargs"]
+            for name, entry in data["fig3_comparison"].items()} == FIG3_CASES
+    assert data["fig3_8_main"]["kwargs"] == FIG3_8_MAIN
+    assert data["fig5_net_grid"]["kwargs"] == FIG5_GRID, (
+        "golden config changed; regenerate with REPRO_UPDATE_GOLDEN=1")
+    return data
+
+
+def _golden_grid(golden) -> dict:
+    return {(row["scenario"], row["policy"]): row["summaries"]
+            for row in golden["fig5_net_grid"]["grid"]}
 
 
 class TestFig3ComparisonDifferential:
     """The rate-comparison grid (figures 3-5..3-8's shared engine)."""
 
-    def test_quick_grid_is_byte_identical(self):
-        kwargs = dict(mode="mixed", environments=("office",), n_traces=2,
-                      duration_s=8.0, tcp=True, normalise="HintAware",
-                      seed0=0)
-        legacy = _legacy_run_comparison(**kwargs)
-        ported = fig3_5.run_comparison(**kwargs, session=Session(jobs=1))
-        assert ported == legacy      # exact float equality, all keys
+    def test_quick_grid_is_byte_identical(self, golden):
+        expected = golden["fig3_comparison"]["mixed_office_tcp"]["output"]
+        ported = _fig3(FIG3_CASES["mixed_office_tcp"], Session(jobs=1))
+        assert ported == expected    # exact float equality, all keys
 
-    def test_quick_grid_any_session_engine(self):
-        kwargs = dict(mode="vehicular", environments=("vehicular",),
-                      n_traces=2, duration_s=6.0, tcp=False,
-                      normalise="RapidSample", seed0=0)
-        legacy = _legacy_run_comparison(**kwargs)
+    def test_quick_grid_any_session_engine(self, golden):
+        expected = golden["fig3_comparison"]["vehicular_udp"]["output"]
         for engine in ("auto", "fast", "batch"):
-            ported = fig3_5.run_comparison(
-                **kwargs, session=Session(engine=engine, jobs=1))
-            assert ported == legacy, f"engine={engine} diverged"
+            ported = _fig3(FIG3_CASES["vehicular_udp"],
+                           Session(engine=engine, jobs=1))
+            assert ported == expected, f"engine={engine} diverged"
 
 
 class TestPrintedReportDifferential:
     """The printed runner stage output, byte for byte."""
 
-    def test_fig3_8_quick_stdout(self):
-        new_out = io.StringIO()
-        with redirect_stdout(new_out):
-            fig3_8.main(seed=0, n_traces=2, session=Session(jobs=1))
-
-        legacy = _legacy_run_comparison(
-            mode="vehicular", environments=("vehicular",), n_traces=2,
-            duration_s=10.0, tcp=False, normalise="RapidSample", seed0=0)
-        legacy_out = io.StringIO()
-        with redirect_stdout(legacy_out):
-            print_table(
-                "Figure 3-8 (vehicular): UDP throughput / RapidSample",
-                legacy["envs"]["vehicular"]["normalised"],
-            )
-        assert new_out.getvalue() == legacy_out.getvalue()
+    def test_fig3_8_quick_stdout(self, golden):
+        assert _fig3_8_stdout(Session(jobs=1)) \
+            == golden["fig3_8_main"]["stdout"]
 
 
 class TestFig5NetDifferential:
-    """The network grid driver against the pre-refactor pool wiring."""
+    """The network grid driver against the recorded grid."""
 
-    SCENARIOS = ("mixed_mobility",)
-    SEEDS = (7,)
-    POLICIES = ("strongest", "lifetime")
-    DURATION_S = 4.0
+    def test_grid_summaries_byte_identical(self, golden):
+        assert _fig5_grid(Session(jobs=1)) == _golden_grid(golden)
 
-    def _legacy_grid(self):
-        """Pre-refactor fig5_net.run_grid: ScenarioTask fan-out through
-        ExperimentPool.scenario_summaries (reference engine)."""
-        pool = ExperimentPool(1)
-        tasks = [
-            ScenarioTask(scenario=name, seed=seed, policy=policy,
-                         duration_s=self.DURATION_S, engine="reference")
-            for name in self.SCENARIOS
-            for policy in self.POLICIES
-            for seed in self.SEEDS
-        ]
-        summaries = pool.scenario_summaries(tasks)
-        grid = {}
-        for task, summary in zip(tasks, summaries):
-            grid.setdefault((task.scenario, task.policy), []).append(summary)
-        return grid
-
-    def test_grid_summaries_byte_identical(self):
-        legacy = self._legacy_grid()
-        ported = fig5_net.run_grid(self.SCENARIOS, self.SEEDS,
-                                   policies=self.POLICIES,
-                                   duration_s=self.DURATION_S,
-                                   session=Session(jobs=1))
-        assert ported == legacy
-
-    def test_grid_engine_forcing_changes_nothing(self):
-        legacy = self._legacy_grid()
+    def test_grid_engine_forcing_changes_nothing(self, golden):
+        expected = _golden_grid(golden)
         for engine in ("auto", "reference", "batch"):
-            ported = fig5_net.run_grid(self.SCENARIOS, self.SEEDS,
-                                       policies=self.POLICIES,
-                                       duration_s=self.DURATION_S,
-                                       engine=engine)
-            assert ported == legacy, f"engine={engine} diverged"
+            ported = _fig5_grid(Session(engine=engine, jobs=1))
+            assert ported == expected, f"engine={engine} diverged"

@@ -1,5 +1,5 @@
 """Session behaviour: config hardening, planning, and bit-equivalence
-with the legacy hand-wired execution paths."""
+across engines and worker counts."""
 
 import numpy as np
 import pytest
@@ -20,11 +20,7 @@ from repro.api.planner import (
     resolve_network_engine,
 )
 from repro.experiments.common import SAMPLERATE_WINDOWS_S
-from repro.experiments.parallel import (
-    BatchExperimentPool,
-    ExperimentPool,
-    ThroughputTask,
-)
+from repro.experiments.parallel import ordered_map
 from repro.rate import RATE_PROTOCOLS
 
 
@@ -32,14 +28,6 @@ from repro.rate import RATE_PROTOCOLS
 # Config hardening: one clear ConfigError from the session
 # ----------------------------------------------------------------------
 class TestConfigErrors:
-    @pytest.fixture(autouse=True)
-    def _no_process_default_jobs(self, monkeypatch):
-        # Isolate from any set_default_jobs() call elsewhere: these
-        # tests exercise the environment-variable path.
-        from repro.experiments import parallel
-
-        monkeypatch.setattr(parallel, "_DEFAULT_JOBS", None)
-
     def test_malformed_repro_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "four")
         with pytest.raises(ConfigError, match="REPRO_JOBS"):
@@ -85,17 +73,6 @@ class TestConfigErrors:
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         session = Session(store=tmp_path / "traces")
         assert session.store.root == tmp_path / "traces"
-
-    def test_set_default_jobs_is_honoured(self, monkeypatch):
-        # The documented process-wide default (runner --jobs sets it)
-        # must reach sessions built without an explicit count.
-        from repro.experiments import parallel
-
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(parallel, "_DEFAULT_JOBS", None)
-        parallel.set_default_jobs(3)
-        assert Session().jobs == 3
-        assert Session(jobs=2).jobs == 2    # explicit argument wins
 
     def test_unknown_engine(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -225,40 +202,63 @@ class TestPlanner:
 
 
 # ----------------------------------------------------------------------
-# Execution: bit-identical to the legacy pools, for every engine
+# Execution: bit-identical to the reference engine, for every engine
 # ----------------------------------------------------------------------
 GRID = GridSpec(protocols=("RapidSample", "SampleRate", "HintAware"),
                 envs=("office",), mode="mixed", n_seeds=2, seed0=0,
                 duration_s=4.0, tcp=False)
 
 
-def _legacy_tasks():
-    return [
-        ThroughputTask(protocol=p, env="office", mode="mixed", seed=i,
-                       duration_s=4.0, tcp=False,
-                       best_samplerate=(p == "SampleRate"))
-        for i in range(2)
-        for p in ("RapidSample", "SampleRate", "HintAware")
-    ]
+def _legacy_pool_throughputs(grid: GridSpec) -> tuple:
+    """The grid replayed task by task, the way the per-task worker pools
+    that predate the session did it: direct ``run_link`` calls on the
+    reference engine, best-SampleRate as the max over its windows.  An
+    oracle independent of the session's planning and executor."""
+    from repro.experiments.common import cached_hints, cached_trace
+    from repro.mac import SimConfig, TcpSource, UdpSource, run_link
+    from repro.rate import SampleRate
+
+    out = []
+    for link in grid.expand(grid.seed0):
+        trace = cached_trace(link.env, link.mode, link.seed, link.duration_s)
+        hints = cached_hints(link.mode, link.seed, link.duration_s)
+        controllers = ([SampleRate(window_s=w) for w in SAMPLERATE_WINDOWS_S]
+                       if link.best_samplerate
+                       else [RATE_PROTOCOLS[link.protocol](link.seed)])
+        out.append(max(
+            run_link(trace, controller,
+                     traffic=TcpSource() if link.tcp else UdpSource(),
+                     hint_series=hints,
+                     config=SimConfig(seed=link.seed, engine="reference"))
+            .throughput_mbps
+            for controller in controllers))
+    return tuple(out)
 
 
 class TestSessionEquivalence:
     @pytest.fixture(scope="class")
+    def reference(self):
+        return Session(engine="reference", jobs=1).run(GRID).throughputs
+
+    @pytest.fixture(scope="class")
     def legacy(self):
-        return ExperimentPool(jobs=1).throughputs(_legacy_tasks())
+        return _legacy_pool_throughputs(GRID)
 
     @pytest.mark.parametrize("engine", ["auto", "fast", "reference", "batch"])
-    def test_grid_matches_legacy_pool_any_engine(self, engine, legacy):
+    def test_grid_matches_legacy_pool_any_engine(self, engine, reference,
+                                                 legacy):
         run = Session(engine=engine, jobs=1).run(GRID)
-        assert list(run.throughputs) == legacy
+        assert run.throughputs == reference == legacy
 
-    def test_grid_matches_batch_pool(self, legacy):
-        assert BatchExperimentPool(jobs=1).throughputs(_legacy_tasks()) \
-            == legacy
+    def test_grid_matches_batch_pool(self, reference):
+        # Batch chunks fanned over worker processes.
+        run = Session(engine="batch", jobs=2).run(GRID)
+        assert run.throughputs == reference
+        assert run.engine == "batch"
 
-    def test_jobs_do_not_change_results(self, legacy):
+    def test_jobs_do_not_change_results(self, reference):
         run = Session(jobs=2).run(GRID)
-        assert list(run.throughputs) == legacy
+        assert run.throughputs == reference
         assert run.jobs == 2
 
     def test_run_result_provenance(self):
@@ -277,10 +277,10 @@ class TestSessionEquivalence:
                               mode="static", seed=5, duration_s=4.0,
                               tcp=False)
         result = Session(jobs=1).run(spec).result
-        from repro.experiments.common import protocol_throughput
-
-        assert result.throughput_mbps == protocol_throughput(
-            "RapidSample", "office", "static", 5, 4.0, False)
+        reference = Session(engine="reference", jobs=1).run(spec).result
+        assert result.throughput_mbps == reference.throughput_mbps
+        assert np.array_equal(result.delivery_times_s,
+                              reference.delivery_times_s)
         assert result.delivered > 0
         assert result.packets_offered == result.delivered + result.dropped
 
@@ -319,7 +319,9 @@ class TestSessionEquivalence:
     def test_scatter_matches_pool_map(self):
         items = list(range(20))
         assert Session(jobs=1).scatter(_square, items) \
-            == ExperimentPool(jobs=2).map(_square, items)
+            == ordered_map(_square, items, jobs=2) \
+            == Session(jobs=2).scatter(_square, items) \
+            == [x * x for x in items]
 
 
 def _square(x):

@@ -109,6 +109,50 @@ class TestSpecValidation:
             NetworkRunSpec(scenario="dense_cell", duration_s=duration_s)
 
 
+#: A valid segment, field order as in :func:`segments_of`.
+_WALK = ("walk", 2.0, 1.2, 0.0, 0.0, False)
+
+
+class TestMalformedSegmentsRejected:
+    """Bad motion segments fail at spec construction, not mid-replay."""
+
+    CASES = {
+        "unknown_kind": ("teleport", 2.0, 1.2, 0.0, 0.0, False),
+        "negative_duration": ("walk", -1.0, 1.2, 0.0, 0.0, False),
+        "zero_duration": ("walk", 0.0, 1.2, 0.0, 0.0, False),
+        "nan_duration": ("walk", float("nan"), 1.2, 0.0, 0.0, False),
+        "inf_duration": ("walk", float("inf"), 1.2, 0.0, 0.0, False),
+        "negative_speed": ("walk", 2.0, -0.5, 0.0, 0.0, False),
+        "nan_speed": ("drive", 2.0, float("nan"), 0.0, 0.0, False),
+        "nan_heading": ("walk", 2.0, 1.2, float("nan"), 0.0, False),
+        "inf_turn_rate": ("walk", 2.0, 1.2, 0.0, float("inf"), False),
+        "non_numeric_duration": ("walk", "long", 1.2, 0.0, 0.0, False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_direct_construction(self, name):
+        with pytest.raises(ConfigError, match="segment"):
+            LinkReplaySpec(protocol="RapidSample",
+                           segments=(_WALK, self.CASES[name]))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_from_dict(self, name):
+        data = LinkReplaySpec(protocol="RapidSample",
+                              segments=(_WALK,)).to_dict()
+        data["segments"].append(list(self.CASES[name]))
+        with pytest.raises(ConfigError, match="segment"):
+            spec_from_dict(data)
+
+    def test_valid_kinds_accepted(self):
+        spec = LinkReplaySpec(protocol="RapidSample", segments=(
+            ("stationary", 1.0, 0.0, 0.0, 0.0, False),
+            _WALK,
+            ("drive", 1.0, 12.0, 90.0, 1.5, True),
+        ))
+        assert [seg[0] for seg in spec.segments] \
+            == ["stationary", "walk", "drive"]
+
+
 class TestRoundTripReplaysBitIdentically:
     def test_golden_link_replay(self, session):
         spec = LinkReplaySpec(protocol="RapidSample", env="office",

@@ -89,3 +89,33 @@ def test_planning_has_no_tuning_knobs():
         == ("engine", "jobs", "store", "seed")
     assert tuple(inspect.signature(plan_link_tasks).parameters) \
         == ("keys", "engine")
+
+
+def test_drivers_take_a_session_not_execution_knobs():
+    # The session owns jobs and engine; a driver entry point accepting
+    # either would be a second, unvalidated execution path.
+    import inspect
+
+    from repro.experiments import (
+        fig3_5,
+        fig3_6,
+        fig3_7,
+        fig3_8,
+        fig4_x,
+        fig5_net,
+        route_stability,
+        table5_1,
+    )
+
+    entry_points = [
+        getattr(module, name)
+        for module in (fig3_5, fig3_6, fig3_7, fig3_8, fig4_x, fig5_net,
+                       route_stability, table5_1)
+        for name in ("run", "main", "run_comparison", "run_grid",
+                     "run_fig4_2_4_3")
+        if hasattr(module, name)
+    ]
+    for fn in entry_points:
+        params = inspect.signature(fn).parameters
+        assert "session" in params, fn.__qualname__
+        assert not {"jobs", "engine"} & set(params), fn.__qualname__

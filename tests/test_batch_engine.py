@@ -10,6 +10,7 @@ write-back, batch-position independence, pool grouping).
 import numpy as np
 import pytest
 
+from repro.api import GridSpec, Session
 from repro.channel import ChannelTrace
 from repro.experiments.common import RATE_PROTOCOLS, cached_hints, cached_trace
 from repro.mac import (
@@ -253,36 +254,41 @@ class TestCruisePaths:
 
 
 class TestBatchPool:
-    def test_pool_matches_serial_pool(self):
-        from repro.experiments.parallel import (
-            BatchExperimentPool,
-            ExperimentPool,
-            ThroughputTask,
-        )
+    #: Three protocol groups of three ragged UDP tasks each (best-
+    #: SampleRate expands into one link per window).
+    GRID = [
+        GridSpec(protocols=(protocol,), envs=(env,), mode="mixed",
+                 n_seeds=3, seed0=SEED, duration_s=3.0, tcp=False,
+                 best_samplerate_protocols=("SampleRate",))
+        for protocol, env in (("RapidSample", "office"),
+                              ("SampleRate", "office"),
+                              ("HintAware", "hallway"))
+    ]
 
-        tasks = [
-            ThroughputTask(protocol=p, env=env, mode="mixed", seed=SEED + i,
-                           duration_s=3.0, tcp=False,
-                           best_samplerate=(p == "SampleRate"))
-            for i in range(3)
-            for p, env in (("RapidSample", "office"),
-                           ("SampleRate", "office"),
-                           ("HintAware", "hallway"))
-        ]
-        serial = ExperimentPool(jobs=1).throughputs(tasks)
-        batched = BatchExperimentPool(jobs=1).throughputs(tasks)
-        assert serial == batched
+    @staticmethod
+    def _throughputs(session):
+        return [v for run in session.map(TestBatchPool.GRID)
+                for v in run.throughputs]
+
+    def test_pool_matches_serial_pool(self, monkeypatch):
+        from repro.api import planner
+
+        reference = self._throughputs(Session(engine="reference", jobs=1))
+        assert self._throughputs(Session(engine="batch", jobs=1)) == reference
         # Grouping geometry must not matter either.
-        chunked = BatchExperimentPool(jobs=1, batch_size=2).throughputs(tasks)
-        assert serial == chunked
-        tiny_groups = BatchExperimentPool(jobs=1, min_batch=64).throughputs(tasks)
-        assert serial == tiny_groups
+        for batch_size in (2, 3):
+            monkeypatch.setattr(planner, "BATCH_SIZE", batch_size)
+            assert self._throughputs(Session(engine="batch", jobs=1)) \
+                == reference, f"BATCH_SIZE={batch_size}"
+        # Groups below their break-even width replay per task on fast.
+        monkeypatch.undo()
+        runs = Session(jobs=1).map(self.GRID)
+        assert [v for run in runs for v in run.throughputs] == reference
+        assert all(run.engine == "fast" for run in runs)
 
     def test_pool_parallel_jobs_identical(self):
-        from repro.experiments.parallel import BatchExperimentPool, ThroughputTask
-
-        tasks = [ThroughputTask(protocol="RapidSample", env="office",
-                                mode="mixed", seed=SEED + i, duration_s=3.0,
-                                tcp=False) for i in range(4)]
-        assert BatchExperimentPool(jobs=1).throughputs(tasks) == \
-            BatchExperimentPool(jobs=2).throughputs(tasks)
+        grid = GridSpec(protocols=("RapidSample",), envs=("office",),
+                        mode="mixed", n_seeds=4, seed0=SEED, duration_s=3.0,
+                        tcp=False)
+        assert Session(engine="batch", jobs=1).run(grid).throughputs == \
+            Session(engine="batch", jobs=2).run(grid).throughputs

@@ -14,8 +14,9 @@ executable specification), ``fast`` (the scalar hot path) and ``batch``
   hand-picked -- including whole heterogeneous batches replayed in one
   lockstep call against their standalone twins.
 
-It also pins the parallel executors' determinism against serial
-execution (both the process pool and the batch pool).
+It also pins the session's determinism against serial execution:
+worker counts, forced engines and batch-chunk geometry never change a
+number.
 """
 
 import pickle
@@ -25,18 +26,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import GridSpec, Session
+from repro.core.seeds import derive_seed
 from repro.experiments import fig3_5
 from repro.experiments.common import (
     RATE_PROTOCOLS,
     cached_hints,
     cached_trace,
-)
-from repro.experiments.parallel import (
-    BatchExperimentPool,
-    ExperimentPool,
-    ThroughputTask,
-    derive_seed,
-    run_throughput_task,
 )
 from repro.mac import (
     BatchLinkSpec,
@@ -182,49 +178,52 @@ class TestDifferentialFuzz:
 
 
 class TestPoolDeterminism:
-    def _tasks(self):
-        return [
-            ThroughputTask(protocol=p, env="office", mode="mixed",
-                           seed=GOLDEN_SEED + i, duration_s=DURATION_S,
-                           best_samplerate=(p == "SampleRate"))
-            for i in range(2)
-            for p in sorted(RATE_PROTOCOLS)
-        ]
+    GRID = GridSpec(protocols=tuple(sorted(RATE_PROTOCOLS)),
+                    envs=("office",), mode="mixed", n_seeds=2,
+                    seed0=GOLDEN_SEED, duration_s=DURATION_S, tcp=True,
+                    best_samplerate_protocols=("SampleRate",))
 
-    def test_parallel_matches_serial(self):
-        tasks = self._tasks()
-        serial = ExperimentPool(jobs=1).throughputs(tasks)
-        parallel = ExperimentPool(jobs=2).throughputs(tasks)
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return Session(engine="reference", jobs=1).run(self.GRID).throughputs
+
+    def test_parallel_matches_serial(self, reference):
+        serial = Session(jobs=1).run(self.GRID).throughputs
+        parallel = Session(jobs=2).run(self.GRID).throughputs
         assert serial == parallel
-        assert serial == [run_throughput_task(t) for t in tasks]
+        assert serial == reference
 
-    def test_batch_pool_matches_process_pool(self):
-        """The batch executor is a drop-in for the process pool: same
-        grid, same numbers, for any grouping or job count."""
-        tasks = self._tasks()
-        serial = ExperimentPool(jobs=1).throughputs(tasks)
-        assert serial == BatchExperimentPool(jobs=1).throughputs(tasks)
-        assert serial == BatchExperimentPool(jobs=2).throughputs(tasks)
-        assert serial == BatchExperimentPool(
-            jobs=1, batch_size=3).throughputs(tasks)
+    def test_batch_pool_matches_process_pool(self, reference, monkeypatch):
+        """Batch chunks are a drop-in for per-task replays: same grid,
+        same numbers, for any chunk geometry or job count."""
+        from repro.api import planner
+
+        assert Session(engine="batch", jobs=1).run(self.GRID).throughputs \
+            == reference
+        assert Session(engine="batch", jobs=2).run(self.GRID).throughputs \
+            == reference
+        for batch_size in (2, 3):
+            monkeypatch.setattr(planner, "BATCH_SIZE", batch_size)
+            run = Session(engine="batch", jobs=1).run(self.GRID)
+            assert run.throughputs == reference, f"BATCH_SIZE={batch_size}"
 
     def test_job_counts_collect_byte_identical_results(self):
         """The PR-1 claim, pinned: the same task grid produces
         byte-identical collected results for jobs=1, 2 and 4."""
-        tasks = self._tasks()
-        collected = {
-            jobs: ExperimentPool(jobs=jobs).throughputs(tasks)
+        blobs = {
+            jobs: pickle.dumps(
+                Session(engine="fast", jobs=jobs).run(self.GRID).throughputs)
             for jobs in (1, 2, 4)
         }
-        blobs = {jobs: pickle.dumps(results)
-                 for jobs, results in collected.items()}
         assert blobs[1] == blobs[2] == blobs[4]
 
     def test_comparison_driver_matches_serial(self):
         kwargs = dict(environments=("office",), n_traces=2,
                       duration_s=DURATION_S, seed0=GOLDEN_SEED)
-        serial = fig3_5.run_comparison("mixed", jobs=1, **kwargs)
-        parallel = fig3_5.run_comparison("mixed", jobs=2, **kwargs)
+        serial = fig3_5.run_comparison("mixed", session=Session(jobs=1),
+                                       **kwargs)
+        parallel = fig3_5.run_comparison("mixed", session=Session(jobs=2),
+                                         **kwargs)
         assert serial["envs"]["office"]["normalised"] == \
             parallel["envs"]["office"]["normalised"]
         assert serial["envs"]["office"]["reference_mbps"] == \

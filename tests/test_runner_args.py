@@ -4,7 +4,7 @@ session, uniformly (no stage-specific plumbing)."""
 import pytest
 
 from repro.api import ConfigError, Session
-from repro.experiments import parallel, runner
+from repro.experiments import runner
 
 
 def _parse(argv):
@@ -30,7 +30,6 @@ class TestRunnerFlags:
                                                    tmp_path):
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(parallel, "_DEFAULT_JOBS", None)
         store = tmp_path / "runner-store"
         args = _parse(["--quick", "--seed", "3", "--jobs", "2",
                        "--engine", "batch", "--store", str(store)])
@@ -41,21 +40,12 @@ class TestRunnerFlags:
         assert session.seed == 3
         assert session.store.root == store
 
-    def test_jobs_flag_keeps_legacy_default_in_sync(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(parallel, "_DEFAULT_JOBS", None)
-        runner.session_from_args(_parse(["--jobs", "3"]))
-        # The shim path (drivers called without a session) sees the same
-        # worker count the session got.
-        assert parallel.default_jobs() == 3
-
     def test_store_off_disables_store(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_STORE", ".cache/trace-store")
         session = runner.session_from_args(_parse(["--store", "off"]))
         assert not session.store.enabled
 
     def test_malformed_env_surfaces_as_config_error(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_DEFAULT_JOBS", None)
         monkeypatch.setenv("REPRO_JOBS", "a-few")
         with pytest.raises(ConfigError, match="REPRO_JOBS"):
             runner.session_from_args(_parse([]))
