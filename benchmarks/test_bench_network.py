@@ -11,6 +11,13 @@ batch scenario engine must
   ``BENCH_network_baseline.json`` pin -- the same gate shape as the
   link-engine benchmarks.
 
+A second leg guards the scalar stepping path the reference scheduler
+drives: ``solo_step_efficiency`` is the fast single-link engine's CPU
+time divided by :class:`NetworkSimulator`'s on the equivalent
+1-station/1-AP ``series``-mode scenario (bit-identical results).  A
+slower :meth:`LinkProcess.step` makes the dense-cell batch ratio *rise*,
+so only this leg catches it; it is pinned with the same 20% gate.
+
 Every measured number lands in ``BENCH_network.json`` for the
 per-commit performance trajectory.
 """
@@ -28,10 +35,35 @@ from conftest import (
 )
 
 from repro.api.executor import warm_network_task
-from repro.network import make_scenario, run_scenario
+from repro.network import (
+    ApSpec,
+    NetworkScenario,
+    StationSpec,
+    link_equivalent_result,
+    make_scenario,
+    run_scenario,
+    station_hints,
+    station_trace,
+)
 
 _SEED = 5
 _DENSE_KWARGS = dict(seed=_SEED)  # catalog defaults: 20 stations, 30 s
+
+#: Numbers from both legs, written together to BENCH_network.json.
+_ARTIFACT: dict = {}
+
+#: The solo-station stepping workload: a cheap controller on saturated
+#: UDP, so per-exchange stepping overhead dominates the replay.
+_SOLO = NetworkScenario(
+    name="solo_step",
+    stations=(StationSpec(name="s0", mobility="pace", traffic="udp",
+                          protocol="RapidSample"),),
+    aps=(ApSpec(bssid="ap0", x_m=0.0, y_m=10.0),),
+    environment="office",
+    duration_s=60.0,
+    seed=_SEED,
+    hint_mode="series",
+)
 
 
 def _dense(engine: str):
@@ -98,7 +130,7 @@ def test_network_batch_speedup_and_equivalence():
     print(f"\n[network speedup] dense_cell 20x30s: reference "
           f"{t_ref * 1e3:.0f} ms, batch {t_batch * 1e3:.0f} ms "
           f"-> {speedup:.2f}x")
-    write_bench_artifact("network", {
+    _ARTIFACT.update({
         "scenario": "dense_cell",
         "n_stations": ref.scenario.n_stations,
         "duration_s": ref.scenario.duration_s,
@@ -106,9 +138,49 @@ def test_network_batch_speedup_and_equivalence():
         "batch_s": t_batch,
         "batch_vs_reference": speedup,
     })
+    write_bench_artifact("network", _ARTIFACT)
     assert speedup >= 3.0, (
         f"batch scenario engine lost its dense-cell speedup "
         f"({speedup:.2f}x < 3.0x)"
     )
     check_regression(speedup, load_bench_baseline("network"),
                      "batch_vs_reference")
+
+
+def test_network_solo_step_efficiency():
+    """The stepping path's pin: a 1-station/1-AP scenario stepped by the
+    reference scheduler is bit-identical to the fast single-link engine,
+    and its cost relative to that engine stays within the committed
+    baseline's 20% gate."""
+    import pytest
+
+    pytest.importorskip("pytest_benchmark")
+    station_trace(_SOLO, 0)
+    station_hints(_SOLO, 0)
+
+    # Rounds alternate between the two sides so host-speed drift hits
+    # both alike; each side keeps its best round.
+    t_fast = t_net = float("inf")
+    for _ in range(3):
+        t, link = _best_of_cpu(lambda: link_equivalent_result(_SOLO), 1)
+        t_fast = min(t_fast, t)
+        t, net = _best_of_cpu(lambda: run_scenario(_SOLO), 1)
+        t_net = min(t_net, t)
+    got = net.station("s0")
+    assert (link.delivered, link.dropped, link.attempts) == \
+        (got.delivered, got.dropped, got.attempts)
+    assert np.array_equal(link.rate_attempts, got.rate_attempts)
+    assert np.array_equal(link.rate_successes, got.rate_successes)
+    assert np.array_equal(link.delivery_times_s, got.delivery_times_s)
+    efficiency = t_fast / t_net
+    print(f"\n[network solo step] 1x{_SOLO.duration_s:.0f}s: fast link "
+          f"{t_fast * 1e3:.0f} ms, network {t_net * 1e3:.0f} ms "
+          f"-> {efficiency:.2f}")
+    _ARTIFACT.update({
+        "solo_fast_s": t_fast,
+        "solo_network_s": t_net,
+        "solo_step_efficiency": efficiency,
+    })
+    write_bench_artifact("network", _ARTIFACT)
+    check_regression(efficiency, load_bench_baseline("network"),
+                     "solo_step_efficiency")

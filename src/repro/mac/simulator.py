@@ -21,7 +21,9 @@ Engines
 Three replay engines share identical semantics and RNG streams, selected
 by ``SimConfig(engine=...)``:
 
-* ``"fast"`` (default) -- the hot path.  Integer-microsecond clock,
+* ``"fast"`` (default) -- the hot path: a :class:`LinkProcess`
+  drained on a free medium, the same resumable stepper the network
+  simulator interleaves on a shared one.  Integer-microsecond clock,
   direct indexing into per-slot arrays materialised once per run (fates
   row pointers, SNR series, hint-transition edge list walked by a
   cursor), block-drawn randomness (backoff uniforms, floor-loss
@@ -49,6 +51,7 @@ so the engines agree exactly on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -127,8 +130,10 @@ class SimConfig:
     #: steps one rate lower.  0 disables the ladder.
     retry_ladder_after: int = 5
     seed: int = 0
-    #: Replay engine: ``"fast"`` (batched hot path) or ``"reference"``
-    #: (the per-attempt specification loop).  Results are identical.
+    #: Replay engine: ``"fast"`` (the :class:`LinkProcess` hot path),
+    #: ``"reference"`` (the per-attempt specification loop) or
+    #: ``"batch"`` (the :mod:`repro.mac.batch` array program, a batch of
+    #: one).  Results are identical.
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -136,6 +141,26 @@ class SimConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
+        # Every engine must see the same well-defined replay: NaN or a
+        # negative value here would silently disable a mechanism on one
+        # engine and raise mid-replay on another.
+        for name in ("hint_delay_s", "snr_obs_noise_db",
+                     "snr_calibration_error_db"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}")
+        if not 0.0 <= self.floor_loss_prob <= 1.0:
+            raise ValueError(
+                f"floor_loss_prob must be in [0, 1], "
+                f"got {self.floor_loss_prob!r}")
+        for name in ("retry_limit", "retry_ladder_after"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if self.payload_bytes < 1:
+            raise ValueError(
+                f"payload_bytes must be at least 1, got {self.payload_bytes!r}")
 
 
 @dataclass
@@ -253,6 +278,13 @@ def _rng_streams(
     )
 
 
+def _calibration_bias_db(cfg: SimConfig, bias_rng: np.random.Generator) -> float:
+    """The run's fixed SNR calibration offset (dB), drawn once per replay."""
+    if cfg.snr_calibration_error_db > 0:
+        return float(bias_rng.standard_normal() * cfg.snr_calibration_error_db)
+    return 0.0
+
+
 class LinkSimulator:
     """One sender, one receiver, one trace, one controller."""
 
@@ -270,22 +302,6 @@ class LinkSimulator:
         self._hints = hint_series
         self._config = config if config is not None else SimConfig()
 
-    # ------------------------------------------------------------------
-    # Shared pieces
-    # ------------------------------------------------------------------
-    def _draw_bias_db(self, bias_rng: np.random.Generator) -> float:
-        cfg = self._config
-        if cfg.snr_calibration_error_db > 0:
-            return float(
-                bias_rng.standard_normal() * cfg.snr_calibration_error_db
-            )
-        return 0.0
-
-    def _hint_edges(self) -> tuple[list[float], list[bool]]:
-        """Boolean hint-transition edge list (see :func:`_hint_edges`)."""
-        assert self._hints is not None
-        return _hint_edges(self._hints)
-
     def run(self) -> SimResult:
         if self._config.engine == "reference":
             return self._run_reference()
@@ -300,7 +316,8 @@ class LinkSimulator:
                 hint_series=self._hints,
                 config=self._config,
             )])[0]
-        return self._run_fast()
+        return LinkProcess(self._trace, self._controller, self._traffic,
+                           self._hints, self._config).run_to_completion()
 
     # ------------------------------------------------------------------
     # Reference engine: the executable specification
@@ -309,7 +326,7 @@ class LinkSimulator:
         cfg = self._config
         trace = self._trace
         bias_rng, snr_rng, backoff_rng, floor_rng = _rng_streams(cfg.seed)
-        snr_bias_db = self._draw_bias_db(bias_rng)
+        snr_bias_db = _calibration_bias_db(cfg, bias_rng)
         duration_us = trace.duration_s * 1e6
         t_us = 0.0
         delivered = 0
@@ -404,207 +421,24 @@ class LinkSimulator:
             delivery_times_s=np.asarray(delivery_times, dtype=np.float64),
         )
 
-    # ------------------------------------------------------------------
-    # Fast engine: the hot path
-    # ------------------------------------------------------------------
-    def _run_fast(self) -> SimResult:
-        cfg = self._config
-        trace = self._trace
-        controller = self._controller
-        traffic = self._traffic
-        bias_rng, snr_rng, backoff_rng, floor_rng = _rng_streams(cfg.seed)
-        snr_bias_db = self._draw_bias_db(bias_rng)
-
-        # --- Per-slot arrays, materialised once -----------------------
-        fate_rows = trace.fates.tolist()        # row pointers: list[list[bool]]
-        snr_series = trace.snr_db.tolist()
-        slot_s = trace.slot_s
-        n_slots = trace.n_slots
-        last_slot = n_slots - 1
-        duration_us = trace.duration_s * 1e6
-
-        # --- Per-rate airtime tables (whole microseconds) -------------
-        ok_us, fail_us, slot_time_us, cw_plus1 = _airtime_tables(
-            cfg.payload_bytes)
-
-        # --- Hint edge list + cursor ----------------------------------
-        have_hints = self._hints is not None
-        if have_hints:
-            hint_times, hint_vals = self._hint_edges()
-            hint_n = len(hint_times)
-        else:
-            hint_times, hint_vals, hint_n = [], [], 0
-        hint_i = 0
-        hint_cur = False                        # value_at default
-        hint_delay_s = cfg.hint_delay_s
-        last_hint: bool | None = None
-
-        # --- Block-drawn randomness -----------------------------------
-        # Buffers hold a reversed block so list.pop() (a C call, no
-        # Python frame) yields draws in generator order; popping an
-        # empty buffer triggers a refill via IndexError (~1/block).
-        backoff_buf: list[float] = []
-        floor_buf: list[float] = []
-        noise_buf: list[float] = []
-
-        # --- Preallocated result buffers ------------------------------
-        delivery_buf = np.empty(4096, dtype=np.float64)
-        n_deliv = 0
-        rate_attempts = [0] * N_RATES
-        rate_successes = [0] * N_RATES
-
-        snr_feedback = cfg.snr_feedback
-        noise_db = cfg.snr_obs_noise_db
-        floor_p = cfg.floor_loss_prob
-        use_backoff = cfg.use_backoff
-        ladder_after = cfg.retry_ladder_after
-        retry_limit = cfg.retry_limit
-
-        # Bound-method hoists: attribute lookups out of the hot loop.
-        next_send_time_us = traffic.next_send_time_us
-        on_delivered = traffic.on_delivered
-        on_dropped = traffic.on_dropped
-        observe_snr = controller.observe_snr
-        choose_rate = controller.choose_rate
-        on_result = controller.on_result
-        on_hint = controller.on_hint
-
-        t = 0                                   # integer microseconds
-        delivered = 0
-        dropped = 0
-        attempts_total = 0
-
-        while t < duration_us:
-            send_at = next_send_time_us(t)
-            if send_at > t:
-                if send_at >= duration_us or send_at == _INF:
-                    break
-                t = int(send_at)
-                continue
-
-            retries = 0
-            while True:
-                now_s = t / 1e6
-                now_ms = t / 1e3
-
-                if have_hints:
-                    q = now_s - hint_delay_s
-                    while hint_i < hint_n and hint_times[hint_i] <= q:
-                        hint_cur = hint_vals[hint_i]
-                        hint_i += 1
-                    if hint_cur != last_hint:
-                        on_hint(MovementHint(time_s=now_s, moving=hint_cur))
-                        last_hint = hint_cur
-
-                if snr_feedback:
-                    prev_slot_t = now_s - slot_s
-                    if prev_slot_t < 0.0:
-                        prev_slot_t = 0.0
-                    slot = int(prev_slot_t / slot_s)
-                    if slot > last_slot:
-                        slot = last_slot
-                    observed = snr_series[slot] + snr_bias_db
-                    if noise_db > 0:
-                        try:
-                            z = noise_buf.pop()
-                        except IndexError:
-                            noise_buf = snr_rng.standard_normal(
-                                _RNG_BLOCK)[::-1].tolist()
-                            z = noise_buf.pop()
-                        observed += noise_db * z
-                    observe_snr(observed, now_ms)
-
-                rate = int(choose_rate(now_ms))
-                if not 0 <= rate < N_RATES:
-                    raise ValueError(f"controller chose invalid rate {rate}")
-                if 0 < ladder_after < retries:
-                    rate = rate - (retries - ladder_after)
-                    if rate < 0:
-                        rate = 0
-
-                if use_backoff:
-                    try:
-                        u = backoff_buf.pop()
-                    except IndexError:
-                        backoff_buf = backoff_rng.random(
-                            _RNG_BLOCK)[::-1].tolist()
-                        u = backoff_buf.pop()
-                    cw1 = cw_plus1[retries if retries < 15 else 15]
-                    t += int(u * cw1) * slot_time_us
-                slot = int((t / 1e6) / slot_s)
-                if slot > last_slot:
-                    slot = last_slot
-                success = fate_rows[slot][rate]
-                if success and floor_p > 0:
-                    try:
-                        u = floor_buf.pop()
-                    except IndexError:
-                        floor_buf = floor_rng.random(_RNG_BLOCK)[::-1].tolist()
-                        u = floor_buf.pop()
-                    success = u >= floor_p
-                t += ok_us[rate] if success else fail_us[rate]
-
-                attempts_total += 1
-                rate_attempts[rate] += 1
-                on_result(rate, success, t / 1e3)
-
-                if success:
-                    rate_successes[rate] += 1
-                    delivered += 1
-                    if n_deliv == len(delivery_buf):
-                        delivery_buf = np.concatenate(
-                            [delivery_buf, np.empty_like(delivery_buf)]
-                        )
-                    delivery_buf[n_deliv] = t / 1e6
-                    n_deliv += 1
-                    on_delivered(t)
-                    break
-                retries += 1
-                if retries > retry_limit:
-                    dropped += 1
-                    on_dropped(t)
-                    break
-                if t >= duration_us:
-                    # In-flight packet at trace end counts as dropped.
-                    dropped += 1
-                    break
-
-        return SimResult(
-            duration_s=trace.duration_s,
-            delivered=delivered,
-            dropped=dropped,
-            attempts=attempts_total,
-            payload_bytes=cfg.payload_bytes,
-            rate_attempts=np.asarray(rate_attempts, dtype=np.int64),
-            rate_successes=np.asarray(rate_successes, dtype=np.int64),
-            delivery_times_s=delivery_buf[:n_deliv].copy(),
-        )
-
 
 class LinkProcess:
     """Resumable single-link replay: the fast engine, one exchange at a time.
 
-    The network simulator (:mod:`repro.network`) interleaves many links
-    on a shared medium, so it needs the replay loop *inverted*: instead
-    of running a trace to completion, :meth:`step` performs exactly one
-    unit of work -- an idle advance to the traffic source's next release
-    or one frame-exchange attempt -- and returns control to the caller.
+    This is the ``"fast"`` engine: :meth:`LinkSimulator.run` drains a
+    process on a free medium with :meth:`run_to_completion`.  The
+    network simulator (:mod:`repro.network`) interleaves many links on a
+    shared medium, so it drives the same loop *inverted*: :meth:`step`
+    performs exactly one unit of work -- an idle advance to the traffic
+    source's next release or one frame-exchange attempt -- and returns
+    control to the caller.  Both run the one loop, :meth:`_run`.
 
-    Semantics and RNG-stream consumption are identical to
-    :class:`LinkSimulator`'s engines: a process stepped to completion on
-    a free medium (no :meth:`defer_until` calls) produces a
-    bit-identical :class:`SimResult`, which is what makes a
-    1-station/1-AP network scenario a strict generalisation of the
-    single-link simulator (pinned by ``tests/test_network.py``).
-
-    This is deliberately a third copy of the replay semantics (after
-    the reference loop and ``_run_fast``): per-attempt stepping costs
-    ~30% over ``_run_fast``'s hoisted-locals loop, which would break
-    the benchmarked >= 3x single-link speedup if the fast engine were
-    implemented as ``LinkProcess.run_to_completion()``.  The
-    equivalence tests pin all three copies to each other, so a
-    semantics edit that misses one fails the suite rather than
-    diverging silently.
+    Semantics and RNG-stream consumption are identical to the reference
+    engine, so a 1-station/1-AP network scenario is a strict
+    generalisation of the single-link simulator (pinned by
+    ``tests/test_network.py``).  A process stepped any number of times
+    and then drained produces the same :class:`SimResult` as one drained
+    from the start.
 
     CSMA hooks
     ----------
@@ -625,57 +459,58 @@ class LinkProcess:
         config: SimConfig | None = None,
     ) -> None:
         cfg = config if config is not None else SimConfig()
+        traffic = traffic if traffic is not None else UdpSource()
         self._trace = trace
-        self._controller = controller
-        self._traffic = traffic if traffic is not None else UdpSource()
-        self._hints = hint_series
+        self._traffic = traffic
         self._config = cfg
-
-        bias_rng, snr_rng, backoff_rng, floor_rng = _rng_streams(cfg.seed)
-        self._snr_rng = snr_rng
-        self._backoff_rng = backoff_rng
-        self._floor_rng = floor_rng
-        if cfg.snr_calibration_error_db > 0:
-            self._snr_bias_db = float(
-                bias_rng.standard_normal() * cfg.snr_calibration_error_db
-            )
-        else:
-            self._snr_bias_db = 0.0
-
-        # Per-slot arrays and per-rate timing tables (see _run_fast).
-        self._fate_rows = trace.fates.tolist()
-        self._snr_series = trace.snr_db.tolist()
-        self._slot_s = trace.slot_s
-        self._last_slot = trace.n_slots - 1
         self._duration_us = trace.duration_s * 1e6
 
-        (self._ok_us, self._fail_us, self._slot_time_us,
-         self._cw_plus1) = _airtime_tables(cfg.payload_bytes)
-
-        self._have_hints = hint_series is not None
+        bias_rng, snr_rng, backoff_rng, floor_rng = _rng_streams(cfg.seed)
         if hint_series is not None:
-            edge_t, edge_v = _hint_edges(hint_series)
-            self._hint_times, self._hint_vals = edge_t, edge_v
+            hint_times, hint_vals = _hint_edges(hint_series)
         else:
-            self._hint_times, self._hint_vals = [], []
-        self._hint_n = len(self._hint_times)
+            hint_times, hint_vals = [], []
+        self._rate_attempts = [0] * N_RATES
+        self._rate_successes = [0] * N_RATES
+        ok_us, fail_us, slot_time_us, cw_plus1 = _airtime_tables(
+            cfg.payload_bytes)
+        # Everything the loop reads but never rebinds, unpacked in one
+        # statement per _run call: the network scheduler steps one
+        # exchange per call, so per-attribute loads would dominate.
+        self._consts = (
+            traffic.next_send_time_us, traffic.on_delivered,
+            traffic.on_dropped, controller.observe_snr,
+            controller.choose_rate, controller.on_result, controller.on_hint,
+            self._duration_us, trace.fates.tolist(), trace.snr_db.tolist(),
+            trace.slot_s, trace.n_slots - 1,
+            ok_us, fail_us, slot_time_us, cw_plus1,
+            hint_series is not None, hint_times, hint_vals, len(hint_times),
+            cfg.hint_delay_s, cfg.snr_feedback,
+            _calibration_bias_db(cfg, bias_rng), cfg.snr_obs_noise_db,
+            cfg.floor_loss_prob, cfg.use_backoff, cfg.retry_ladder_after,
+            cfg.retry_limit, snr_rng, backoff_rng, floor_rng,
+            self._rate_attempts, self._rate_successes,
+        )
+
         self._hint_i = 0
-        self._hint_cur = False
+        self._hint_cur = False                  # value_at default
         self._last_hint: bool | None = None
 
+        # Block-drawn randomness: each buffer holds a reversed block so
+        # list.pop() (a C call, no Python frame) yields draws in
+        # generator order; popping an empty buffer triggers a refill
+        # via IndexError (~1/block).
         self._backoff_buf: list[float] = []
         self._floor_buf: list[float] = []
         self._noise_buf: list[float] = []
 
         self._delivery_buf = np.empty(4096, dtype=np.float64)
         self._n_deliv = 0
-        self._rate_attempts = [0] * N_RATES
-        self._rate_successes = [0] * N_RATES
         self._delivered = 0
         self._dropped = 0
         self._attempts = 0
 
-        self._t: int | float = 0
+        self._t: int | float = 0                # integer microseconds
         self._serving = False
         self._retries = 0
         self._done = False
@@ -692,24 +527,7 @@ class LinkProcess:
 
     def next_ready_us(self) -> float:
         """Earliest time this station wants the medium (inf when over)."""
-        if self._done:
-            return _INF
-        if self._serving:
-            if self._t >= self._duration_us:
-                self._expire_in_flight()
-                return _INF
-            return float(self._t)
-        t = self._t
-        if t >= self._duration_us:
-            self._done = True
-            return _INF
-        send_at = self._traffic.next_send_time_us(t)
-        if send_at <= t:
-            return float(t)
-        if send_at >= self._duration_us or send_at == _INF:
-            self._done = True
-            return _INF
-        return float(send_at)
+        return self.defer_and_ready(-_INF)
 
     def defer_until(self, t_us: float) -> None:
         """Carrier sense: the medium is busy until ``t_us``."""
@@ -770,31 +588,7 @@ class LinkProcess:
         attempt occupied the medium, or ``None`` for an idle advance /
         end-of-replay bookkeeping.
         """
-        if self._done:
-            return None
-        t = self._t
-        if not self._serving:
-            if t >= self._duration_us:
-                self._done = True
-                return None
-            send_at = self._traffic.next_send_time_us(t)
-            if send_at > t:
-                if send_at >= self._duration_us or send_at == _INF:
-                    self._done = True
-                    return None
-                self._t = int(send_at)
-                return None
-            self._serving = True
-            self._retries = 0
-        elif t >= self._duration_us:
-            # A contender's exchange deferred this station past the end
-            # of its trace mid-service: the in-flight packet expires
-            # (the trace-end drop rule), it does not transmit into a
-            # world that no longer exists.  Unreachable on a free
-            # medium, so single-link equivalence is unaffected.
-            self._expire_in_flight()
-            return None
-        return self._attempt()
+        return self._run(True)
 
     def _expire_in_flight(self) -> None:
         """Drop the in-service packet at trace end (no traffic timeout)."""
@@ -802,111 +596,176 @@ class LinkProcess:
         self._serving = False
         self._done = True
 
-    # ------------------------------------------------------------------
-    def _attempt(self) -> tuple[float, float, bool]:
-        """One frame exchange: the body of the fast engine's inner loop."""
-        cfg = self._config
-        controller = self._controller
-        t = self._t
-        start = t
-        now_s = t / 1e6
-        now_ms = t / 1e3
-
-        # Guarded like the engines (series present, even if edgeless):
-        # an empty series still delivers the initial False once.
-        if self._have_hints:
-            q = now_s - cfg.hint_delay_s
-            while self._hint_i < self._hint_n and \
-                    self._hint_times[self._hint_i] <= q:
-                self._hint_cur = self._hint_vals[self._hint_i]
-                self._hint_i += 1
-            if self._hint_cur != self._last_hint:
-                controller.on_hint(MovementHint(time_s=now_s, moving=self._hint_cur))
-                self._last_hint = self._hint_cur
-
-        if cfg.snr_feedback:
-            prev_slot_t = now_s - self._slot_s
-            if prev_slot_t < 0.0:
-                prev_slot_t = 0.0
-            slot = int(prev_slot_t / self._slot_s)
-            if slot > self._last_slot:
-                slot = self._last_slot
-            observed = self._snr_series[slot] + self._snr_bias_db
-            if cfg.snr_obs_noise_db > 0:
-                try:
-                    z = self._noise_buf.pop()
-                except IndexError:
-                    self._noise_buf = self._snr_rng.standard_normal(
-                        _RNG_BLOCK)[::-1].tolist()
-                    z = self._noise_buf.pop()
-                observed += cfg.snr_obs_noise_db * z
-            controller.observe_snr(observed, now_ms)
-
-        rate = int(controller.choose_rate(now_ms))
-        if not 0 <= rate < N_RATES:
-            raise ValueError(f"controller chose invalid rate {rate}")
-        retries = self._retries
-        if 0 < cfg.retry_ladder_after < retries:
-            rate = rate - (retries - cfg.retry_ladder_after)
-            if rate < 0:
-                rate = 0
-
-        if cfg.use_backoff:
-            try:
-                u = self._backoff_buf.pop()
-            except IndexError:
-                self._backoff_buf = self._backoff_rng.random(
-                    _RNG_BLOCK)[::-1].tolist()
-                u = self._backoff_buf.pop()
-            cw1 = self._cw_plus1[retries if retries < 15 else 15]
-            t += int(u * cw1) * self._slot_time_us
-        slot = int((t / 1e6) / self._slot_s)
-        if slot > self._last_slot:
-            slot = self._last_slot
-        success = self._fate_rows[slot][rate]
-        if success and cfg.floor_loss_prob > 0:
-            try:
-                u = self._floor_buf.pop()
-            except IndexError:
-                self._floor_buf = self._floor_rng.random(
-                    _RNG_BLOCK)[::-1].tolist()
-                u = self._floor_buf.pop()
-            success = u >= cfg.floor_loss_prob
-        t += self._ok_us[rate] if success else self._fail_us[rate]
-        self._t = t
-
-        self._attempts += 1
-        self._rate_attempts[rate] += 1
-        controller.on_result(rate, success, t / 1e3)
-
-        if success:
-            self._rate_successes[rate] += 1
-            self._delivered += 1
-            if self._n_deliv == len(self._delivery_buf):
-                self._delivery_buf = np.concatenate(
-                    [self._delivery_buf, np.empty_like(self._delivery_buf)]
-                )
-            self._delivery_buf[self._n_deliv] = t / 1e6
-            self._n_deliv += 1
-            self._traffic.on_delivered(t)
-            self._serving = False
-        else:
-            retries += 1
-            self._retries = retries
-            if retries > cfg.retry_limit:
-                self._dropped += 1
-                self._traffic.on_dropped(t)
-                self._serving = False
-            elif t >= self._duration_us:
-                # In-flight packet at trace end counts as dropped.
-                self._expire_in_flight()
-        return (start, t, success)
-
     def run_to_completion(self) -> SimResult:
-        """Drain the process on a free medium (== ``LinkSimulator.run``)."""
-        while not self._done:
-            self.step()
+        """Drain the process on a free medium (the ``"fast"`` engine)."""
+        self._run(False)
         return self.result()
+
+    # ------------------------------------------------------------------
+    def _run(self, single: bool) -> tuple[float, float, bool] | None:
+        """The replay loop: one unit of work (``single``) or to the end.
+
+        Cursors and counters live in locals for the loop and are stored
+        back once on exit.  The RNG and delivery buffers are mutated in
+        place and rebound on ``self`` only where they are replaced.
+        """
+        if self._done:
+            return None
+        (next_send_time_us, on_delivered, on_dropped, observe_snr,
+         choose_rate, on_result, on_hint, duration_us, fate_rows,
+         snr_series, slot_s, last_slot, ok_us, fail_us, slot_time_us,
+         cw_plus1, have_hints, hint_times, hint_vals, hint_n, hint_delay_s,
+         snr_feedback, snr_bias_db, noise_db, floor_p, use_backoff,
+         ladder_after, retry_limit, snr_rng, backoff_rng, floor_rng,
+         rate_attempts, rate_successes) = self._consts
+        t = self._t
+        serving = self._serving
+        retries = self._retries
+        done = False
+        hint_i = self._hint_i
+        hint_cur = self._hint_cur
+        last_hint = self._last_hint
+        backoff_buf = self._backoff_buf
+        floor_buf = self._floor_buf
+        noise_buf = self._noise_buf
+        delivery_buf = self._delivery_buf
+        n_deliv = self._n_deliv
+        delivered = self._delivered
+        dropped = self._dropped
+        attempts = self._attempts
+        span = None
+
+        while True:
+            if not serving:
+                if t >= duration_us:
+                    done = True
+                    break
+                send_at = next_send_time_us(t)
+                if send_at > t:
+                    if send_at >= duration_us or send_at == _INF:
+                        done = True
+                        break
+                    t = int(send_at)
+                    if single:
+                        break
+                    continue
+                serving = True
+                retries = 0
+            elif t >= duration_us:
+                # Trace ended mid-service -- the last attempt failed past
+                # it, or a contender's exchange deferred this station
+                # past it: the in-flight packet was offered but never
+                # ACKed, so it counts as dropped (no traffic timeout --
+                # the run is over) instead of transmitting into a world
+                # that no longer exists.
+                dropped += 1
+                serving = False
+                done = True
+                break
+
+            start = t
+            now_s = t / 1e6
+            now_ms = t / 1e3
+
+            # Guarded like the reference (series present, even if
+            # edgeless): an empty series still delivers the initial
+            # False once.
+            if have_hints:
+                q = now_s - hint_delay_s
+                while hint_i < hint_n and hint_times[hint_i] <= q:
+                    hint_cur = hint_vals[hint_i]
+                    hint_i += 1
+                if hint_cur != last_hint:
+                    on_hint(MovementHint(time_s=now_s, moving=hint_cur))
+                    last_hint = hint_cur
+
+            if snr_feedback:
+                prev_slot_t = now_s - slot_s
+                if prev_slot_t < 0.0:
+                    prev_slot_t = 0.0
+                slot = int(prev_slot_t / slot_s)
+                if slot > last_slot:
+                    slot = last_slot
+                observed = snr_series[slot] + snr_bias_db
+                if noise_db > 0:
+                    try:
+                        z = noise_buf.pop()
+                    except IndexError:
+                        noise_buf = self._noise_buf = snr_rng.standard_normal(
+                            _RNG_BLOCK)[::-1].tolist()
+                        z = noise_buf.pop()
+                    observed += noise_db * z
+                observe_snr(observed, now_ms)
+
+            rate = int(choose_rate(now_ms))
+            if not 0 <= rate < N_RATES:
+                raise ValueError(f"controller chose invalid rate {rate}")
+            if 0 < ladder_after < retries:
+                # Driver retry chain: step below the chosen rate once the
+                # configured attempts are exhausted.
+                rate = rate - (retries - ladder_after)
+                if rate < 0:
+                    rate = 0
+
+            if use_backoff:
+                try:
+                    u = backoff_buf.pop()
+                except IndexError:
+                    backoff_buf = self._backoff_buf = backoff_rng.random(
+                        _RNG_BLOCK)[::-1].tolist()
+                    u = backoff_buf.pop()
+                cw1 = cw_plus1[retries if retries < 15 else 15]
+                t += int(u * cw1) * slot_time_us
+            slot = int((t / 1e6) / slot_s)
+            if slot > last_slot:
+                slot = last_slot
+            success = fate_rows[slot][rate]
+            if success and floor_p > 0:
+                try:
+                    u = floor_buf.pop()
+                except IndexError:
+                    floor_buf = self._floor_buf = floor_rng.random(
+                        _RNG_BLOCK)[::-1].tolist()
+                    u = floor_buf.pop()
+                success = u >= floor_p
+            t += ok_us[rate] if success else fail_us[rate]
+
+            attempts += 1
+            rate_attempts[rate] += 1
+            on_result(rate, success, t / 1e3)
+
+            if success:
+                rate_successes[rate] += 1
+                delivered += 1
+                if n_deliv == len(delivery_buf):
+                    delivery_buf = self._delivery_buf = np.concatenate(
+                        [delivery_buf, np.empty_like(delivery_buf)])
+                delivery_buf[n_deliv] = t / 1e6
+                n_deliv += 1
+                on_delivered(t)
+                serving = False
+            else:
+                retries += 1
+                if retries > retry_limit:
+                    dropped += 1
+                    on_dropped(t)
+                    serving = False
+            if single:
+                span = (start, t, success)
+                break
+
+        self._t = t
+        self._serving = serving
+        self._retries = retries
+        self._done = done
+        self._hint_i = hint_i
+        self._hint_cur = hint_cur
+        self._last_hint = last_hint
+        self._n_deliv = n_deliv
+        self._delivered = delivered
+        self._dropped = dropped
+        self._attempts = attempts
+        return span
 
     def result(self) -> SimResult:
         """Snapshot of the replay outcome (complete once :attr:`done`)."""

@@ -16,6 +16,7 @@ the scenario seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..ap.association import ASSOC_RANGE_M
@@ -170,21 +171,25 @@ class NetworkScenario:
                 "policy would silently degrade to strongest-signal -- "
                 "use hint_mode='series' or 'protocol'"
             )
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        # ``math.isfinite`` first: NaN compares False against every
+        # bound, so the sign checks alone would let it through.
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError("duration must be finite and positive")
         if self.pretrain_walks < 0:
             raise ValueError("pretrain_walks must be non-negative")
-        if self.hint_delay_s < 0:
+        if not (math.isfinite(self.hint_delay_s) and self.hint_delay_s >= 0):
             raise ValueError(
-                "hint_delay_s must be non-negative: a negative delay "
-                "would deliver hints before they occur"
+                "hint_delay_s must be finite and non-negative: a negative "
+                "delay would deliver hints before they occur"
             )
-        if self.hint_beacon_s < 0:
-            raise ValueError("hint_beacon_s must be non-negative (0 disables)")
-        if self.assoc_range_m <= 0:
-            raise ValueError("assoc_range_m must be positive")
-        if self.scan_interval_s <= 0:
-            raise ValueError("scan interval must be positive")
+        if not (math.isfinite(self.hint_beacon_s) and self.hint_beacon_s >= 0):
+            raise ValueError(
+                "hint_beacon_s must be finite and non-negative (0 disables)")
+        if not (math.isfinite(self.assoc_range_m) and self.assoc_range_m > 0):
+            raise ValueError("assoc_range_m must be finite and positive")
+        if not (math.isfinite(self.scan_interval_s)
+                and self.scan_interval_s > 0):
+            raise ValueError("scan interval must be finite and positive")
         names = [s.name for s in self.stations]
         if len(set(names)) != len(names):
             raise ValueError("station names must be unique")

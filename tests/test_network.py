@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from repro.api import NetworkSummary, Session
 from repro.api.executor import warm_network_task
@@ -70,6 +72,57 @@ class TestLinkProcess:
         proc = LinkProcess(trace, RATE_PROTOCOLS[protocol](GOLDEN_SEED),
                            TcpSource(), hints, cfg)
         assert_results_identical(ref, proc.run_to_completion())
+
+    @settings(max_examples=25, deadline=None, print_blob=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(protocol=hst.sampled_from(sorted(RATE_PROTOCOLS)),
+           mode=hst.sampled_from(["static", "mobile", "mixed"]),
+           tcp=hst.booleans(),
+           with_hints=hst.booleans(),
+           seed=hst.sampled_from([1, 7, 19]),
+           # 0, a few steps, mid-replay and past the end of the replay.
+           k=hst.one_of(hst.just(0), hst.integers(1, 50),
+                        hst.integers(50, 8000), hst.just(10**9)))
+    def test_resume_after_steps_matches_engines(self, protocol, mode, tcp,
+                                                with_hints, seed, k):
+        """``run_to_completion`` picks the loop up from whatever state
+        ``step`` left -- mid-service, mid-retry, hint cursor and RNG
+        blocks partly consumed -- and finishes the same replay."""
+        trace = cached_trace("office", mode, seed, 2.0)
+        hints = cached_hints(mode, seed, 2.0) if with_hints else None
+
+        class HintLog:
+            """The drawn controller, recording every hint delivery."""
+
+            def __init__(self):
+                inner = RATE_PROTOCOLS[protocol](seed)
+                self.choose_rate = inner.choose_rate
+                self.on_result = inner.on_result
+                self.observe_snr = inner.observe_snr
+                self._on_hint = inner.on_hint
+                self.hints = []
+
+            def on_hint(self, hint):
+                self.hints.append((hint.time_s, hint.moving))
+                self._on_hint(hint)
+
+        def make(engine):
+            return (HintLog(), TcpSource() if tcp else UdpSource(), hints,
+                    SimConfig(seed=seed, engine=engine))
+
+        args = make("fast")
+        proc = LinkProcess(trace, *args)
+        for _ in range(k):
+            if proc.done:
+                break
+            proc.step()
+        resumed = proc.run_to_completion()
+        assert proc.done
+        assert proc.step() is None
+        for engine in ("fast", "reference"):
+            ref_args = make(engine)
+            assert_results_identical(run_link(trace, *ref_args), resumed)
+            assert ref_args[0].hints == args[0].hints
 
     def test_stepper_reports_done(self):
         trace = cached_trace("office", "static", GOLDEN_SEED, 2.0)
@@ -456,6 +509,25 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             NetworkScenario(name="x", stations=(sta,), aps=(ap,),
                             assoc_range_m=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("hint_delay_s", float("nan")),
+        ("hint_delay_s", float("inf")),
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
+        ("scan_interval_s", float("nan")),
+        ("scan_interval_s", float("inf")),
+        ("assoc_range_m", float("nan")),
+        ("assoc_range_m", float("inf")),
+        ("hint_beacon_s", float("nan")),
+        ("hint_beacon_s", float("inf")),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        sta = StationSpec(name="a")
+        ap = ApSpec(bssid="x", x_m=0.0, y_m=0.0)
+        with pytest.raises(ValueError):
+            NetworkScenario(name="x", stations=(sta,), aps=(ap,),
+                            **{field: value})
 
     def test_station_artefacts_are_store_backed(self):
         scenario = solo_scenario()

@@ -72,6 +72,42 @@ class TestBasics:
         assert total_bits == pytest.approx(result.delivered * 8000.0, rel=0.01)
 
 
+class TestConfigValidation:
+    """Values the engines would disagree on are rejected up front."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("hint_delay_s", float("nan")),
+        ("hint_delay_s", float("inf")),
+        ("hint_delay_s", -0.5),
+        ("floor_loss_prob", 1.5),
+        ("floor_loss_prob", -0.1),
+        ("floor_loss_prob", float("nan")),
+        ("snr_obs_noise_db", -1.0),
+        ("snr_obs_noise_db", float("nan")),
+        ("snr_calibration_error_db", -1.0),
+        ("snr_calibration_error_db", float("inf")),
+        ("retry_limit", -1),
+        ("retry_ladder_after", -2),
+        ("payload_bytes", 0),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("hint_delay_s", 0.0),
+        ("floor_loss_prob", 0.0),
+        ("floor_loss_prob", 1.0),
+        ("snr_obs_noise_db", 0.0),
+        ("snr_calibration_error_db", 0.0),
+        ("retry_limit", 0),
+        ("retry_ladder_after", 0),
+        ("payload_bytes", 1),
+    ])
+    def test_boundary_values_accepted(self, field, value):
+        SimConfig(**{field: value})
+
+
 class TestOracleBound:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_oracle_beats_causal_controllers(self, seed):
