@@ -28,8 +28,12 @@ __all__ = [
 ]
 
 #: ``engine="auto"`` scenarios with at least this many stations replay
-#: on the batch scenario engine (bit-identical; its SoA passes amortise
-#: over contending stations, while tiny cells are adapter-bound).
+#: on the batch scenario engine (bit-identical).  Its round commit only
+#: pays in a saturated single cell, and pays more the more contenders
+#: each exchange would otherwise defer; TCP and multi-cell scenarios
+#: step exchange by exchange at reference speed either way.  The value
+#: itself is unmeasured: no break-even sweep over station counts backs
+#: it.
 NETWORK_BATCH_MIN_STATIONS = 8
 
 #: Most tasks one batch-engine call replays (a best-SampleRate task

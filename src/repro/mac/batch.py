@@ -64,6 +64,7 @@ from .simulator import (
     SimConfig,
     SimResult,
     _airtime_tables,
+    _hint_edges,
     _rng_streams,
     RateControllerLike,
 )
@@ -136,23 +137,6 @@ class BatchLinkSpec:
         )
 
 
-def _bool_edges(series: HintSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean hint transitions, vectorized.
-
-    Equivalent to collapsing :meth:`HintSeries.edges` to its boolean
-    transitions (:func:`repro.mac.simulator._hint_edges`) -- the kept
-    positions are exactly those where the boolean value differs from the
-    previous sample's, plus the first sample -- but in array ops instead
-    of a Python loop over the dense series.
-    """
-    times = np.asarray(series.times_s, dtype=np.float64)
-    if not len(times):
-        return times, np.zeros(0, dtype=bool)
-    vals = np.asarray(series.values).astype(bool)
-    keep = np.concatenate([[True], vals[1:] != vals[:-1]])
-    return times[keep], vals[keep]
-
-
 def _edge_threshold_us(edge_t: float, delay_s: float) -> int:
     """Smallest integer-µs clock t with ``edge_t <= t/1e6 - delay_s``.
 
@@ -190,7 +174,6 @@ class BatchLinkEngine:
         from ..rate.base import make_batch_adapter
 
         specs = [s.resolved() for s in specs]
-        self._specs = specs
         n = len(specs)
         self._n = n
         cfgs = [s.config for s in specs]
@@ -291,11 +274,10 @@ class BatchLinkEngine:
             ptr[i] = len(thresh)
             if s.hint_series is not None:
                 present[i] = True
-                edge_t, edge_v = _bool_edges(s.hint_series)
+                edge_t, edge_v = _hint_edges(s.hint_series)
                 delay = s.config.hint_delay_s
-                for e, v in zip(edge_t, edge_v):
-                    thresh.append(_edge_threshold_us(float(e), delay))
-                    vals.append(bool(v))
+                thresh += [_edge_threshold_us(e, delay) for e in edge_t]
+                vals += edge_v
             end[i] = len(thresh)
             if end[i] > ptr[i]:
                 nxt[i] = thresh[ptr[i]]
@@ -588,18 +570,9 @@ class BatchLinkEngine:
     # ------------------------------------------------------------------
     # The general step: one frame-exchange attempt per selected row
     # ------------------------------------------------------------------
-    def _attempt_step(
-        self, att: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One attempt for rows ``att`` (None = all).
-
-        Returns ``(dead, rates, successes, start_us, end_us)`` -- the
-        dead-row mask plus the attempts' outcomes aligned with the
-        selected rows.  The grid run loop only consumes ``dead``; the
-        network scenario engine (:mod:`repro.network.batch`) drives this
-        method row-at-a-time between contention barriers and needs the
-        exchange spans for CSMA bookkeeping.
-        """
+    def _attempt_step(self, att: np.ndarray | None) -> np.ndarray:
+        """One attempt for rows ``att`` (None = all); returns the mask
+        of rows whose trace ended."""
         dense = att is None
         t0 = self._t if dense else self._t[att]
         # Vectorized adapters that ignore attempt-start times let the
@@ -734,10 +707,10 @@ class BatchLinkEngine:
                     self._dropped_by_id[self._live_ids[cont[ex]]] += 1
 
         if dense:
-            return t2 >= self._dur, rate, succ, t0, t2
+            return t2 >= self._dur
         dead = np.zeros(len(self._live_ids), dtype=bool)
         dead[att] = t2 >= self._dur[att]
-        return dead, rate, succ, t0, t2
+        return dead
 
     # ------------------------------------------------------------------
     def run(self) -> list[SimResult]:
@@ -798,7 +771,7 @@ class BatchLinkEngine:
             for _ in range(reps):
                 if att is not None and not att.size:
                     break
-                dead = self._attempt_step(att)[0]
+                dead = self._attempt_step(att)
                 if dead.any():
                     self._adapter.retire(np.flatnonzero(dead))
                     self._compact(np.flatnonzero(~dead))

@@ -24,9 +24,9 @@ by ``SimConfig(engine=...)``:
 * ``"fast"`` (default) -- the hot path: a :class:`LinkProcess`
   drained on a free medium, the same resumable stepper the network
   simulator interleaves on a shared one.  Integer-microsecond clock,
-  direct indexing into per-slot arrays materialised once per run (fates
-  row pointers, SNR series, hint-transition edge list walked by a
-  cursor), block-drawn randomness (backoff uniforms, floor-loss
+  direct indexing into per-slot arrays materialised once per run (a
+  flat slot-major fate table, SNR series, hint-transition edge list
+  walked by a cursor), block-drawn randomness (backoff uniforms, floor-loss
   uniforms, SNR-noise normals refilled 1024 at a time), per-rate airtime
   tables, and a preallocated delivery-time buffer.
 * ``"reference"`` -- the readable per-attempt loop, retained as the
@@ -245,18 +245,16 @@ def _hint_edges(series: HintSeries) -> tuple[list[float], list[bool]]:
     Collapses :meth:`HintSeries.edges` to its *boolean* transitions;
     walking this list with a cursor reproduces
     ``bool(HintSeries.value_at(t, default=False))`` for monotonically
-    non-decreasing ``t``.
+    non-decreasing ``t``.  The kept samples are the first one plus every
+    one whose truth value differs from its predecessor's, found with
+    array ops instead of a Python loop over the dense series.
     """
-    edge_t: list[float] = []
-    edge_v: list[bool] = []
-    prev: bool | None = None
-    for t, v in series.edges():
-        b = bool(v)
-        if b != prev:
-            edge_t.append(t)
-            edge_v.append(b)
-            prev = b
-    return edge_t, edge_v
+    times = np.asarray(series.times_s, dtype=np.float64)
+    if not len(times):
+        return [], []
+    vals = np.asarray(series.values).astype(bool)
+    keep = np.concatenate([[True], vals[1:] != vals[:-1]])
+    return times[keep].tolist(), vals[keep].tolist()
 
 
 def _rng_streams(
@@ -477,38 +475,33 @@ class LinkProcess:
         # Everything the loop reads but never rebinds, unpacked in one
         # statement per _run call: the network scheduler steps one
         # exchange per call, so per-attribute loads would dominate.
+        # The last three are the block-drawn randomness buffers (backoff,
+        # floor loss, SNR noise): each holds a reversed block so
+        # list.pop() (a C call, no Python frame) yields draws in
+        # generator order; popping an empty buffer triggers an in-place
+        # refill via IndexError (~1/block).
         self._consts = (
             traffic.next_send_time_us, traffic.on_delivered,
             traffic.on_dropped, controller.observe_snr,
             controller.choose_rate, controller.on_result, controller.on_hint,
-            self._duration_us, trace.fates.tolist(), trace.snr_db.tolist(),
-            trace.slot_s, trace.n_slots - 1,
+            self._duration_us, trace.fates.ravel().tolist(),
+            trace.snr_db.tolist(), trace.slot_s, trace.n_slots - 1,
             ok_us, fail_us, slot_time_us, cw_plus1,
             hint_series is not None, hint_times, hint_vals, len(hint_times),
             cfg.hint_delay_s, cfg.snr_feedback,
             _calibration_bias_db(cfg, bias_rng), cfg.snr_obs_noise_db,
             cfg.floor_loss_prob, cfg.use_backoff, cfg.retry_ladder_after,
             cfg.retry_limit, snr_rng, backoff_rng, floor_rng,
-            self._rate_attempts, self._rate_successes,
+            self._rate_attempts, self._rate_successes, [], [], [],
         )
 
         self._hint_i = 0
         self._hint_cur = False                  # value_at default
         self._last_hint: bool | None = None
 
-        # Block-drawn randomness: each buffer holds a reversed block so
-        # list.pop() (a C call, no Python frame) yields draws in
-        # generator order; popping an empty buffer triggers a refill
-        # via IndexError (~1/block).
-        self._backoff_buf: list[float] = []
-        self._floor_buf: list[float] = []
-        self._noise_buf: list[float] = []
-
         self._delivery_buf = np.empty(4096, dtype=np.float64)
         self._n_deliv = 0
-        self._delivered = 0
         self._dropped = 0
-        self._attempts = 0
 
         self._t: int | float = 0                # integer microseconds
         self._serving = False
@@ -606,44 +599,39 @@ class LinkProcess:
         """The replay loop: one unit of work (``single``) or to the end.
 
         Cursors and counters live in locals for the loop and are stored
-        back once on exit.  The RNG and delivery buffers are mutated in
-        place and rebound on ``self`` only where they are replaced.
+        back once on exit; the rare end-of-replay and drop transitions
+        write ``self`` directly.  The RNG buffers are refilled in place;
+        the delivery buffer is rebound on ``self`` only where it grows.
         """
         if self._done:
             return None
         (next_send_time_us, on_delivered, on_dropped, observe_snr,
-         choose_rate, on_result, on_hint, duration_us, fate_rows,
+         choose_rate, on_result, on_hint, duration_us, fates,
          snr_series, slot_s, last_slot, ok_us, fail_us, slot_time_us,
          cw_plus1, have_hints, hint_times, hint_vals, hint_n, hint_delay_s,
          snr_feedback, snr_bias_db, noise_db, floor_p, use_backoff,
          ladder_after, retry_limit, snr_rng, backoff_rng, floor_rng,
-         rate_attempts, rate_successes) = self._consts
+         rate_attempts, rate_successes, backoff_buf, floor_buf,
+         noise_buf) = self._consts
         t = self._t
         serving = self._serving
         retries = self._retries
-        done = False
         hint_i = self._hint_i
         hint_cur = self._hint_cur
         last_hint = self._last_hint
-        backoff_buf = self._backoff_buf
-        floor_buf = self._floor_buf
-        noise_buf = self._noise_buf
         delivery_buf = self._delivery_buf
         n_deliv = self._n_deliv
-        delivered = self._delivered
-        dropped = self._dropped
-        attempts = self._attempts
         span = None
 
         while True:
             if not serving:
                 if t >= duration_us:
-                    done = True
+                    self._done = True
                     break
                 send_at = next_send_time_us(t)
                 if send_at > t:
                     if send_at >= duration_us or send_at == _INF:
-                        done = True
+                        self._done = True
                         break
                     t = int(send_at)
                     if single:
@@ -658,9 +646,9 @@ class LinkProcess:
                 # ACKed, so it counts as dropped (no traffic timeout --
                 # the run is over) instead of transmitting into a world
                 # that no longer exists.
-                dropped += 1
+                self._dropped += 1
                 serving = False
-                done = True
+                self._done = True
                 break
 
             start = t
@@ -691,7 +679,7 @@ class LinkProcess:
                     try:
                         z = noise_buf.pop()
                     except IndexError:
-                        noise_buf = self._noise_buf = snr_rng.standard_normal(
+                        noise_buf += snr_rng.standard_normal(
                             _RNG_BLOCK)[::-1].tolist()
                         z = noise_buf.pop()
                     observed += noise_db * z
@@ -711,7 +699,7 @@ class LinkProcess:
                 try:
                     u = backoff_buf.pop()
                 except IndexError:
-                    backoff_buf = self._backoff_buf = backoff_rng.random(
+                    backoff_buf += backoff_rng.random(
                         _RNG_BLOCK)[::-1].tolist()
                     u = backoff_buf.pop()
                 cw1 = cw_plus1[retries if retries < 15 else 15]
@@ -719,24 +707,22 @@ class LinkProcess:
             slot = int((t / 1e6) / slot_s)
             if slot > last_slot:
                 slot = last_slot
-            success = fate_rows[slot][rate]
+            success = fates[slot * N_RATES + rate]
             if success and floor_p > 0:
                 try:
                     u = floor_buf.pop()
                 except IndexError:
-                    floor_buf = self._floor_buf = floor_rng.random(
+                    floor_buf += floor_rng.random(
                         _RNG_BLOCK)[::-1].tolist()
                     u = floor_buf.pop()
                 success = u >= floor_p
             t += ok_us[rate] if success else fail_us[rate]
 
-            attempts += 1
             rate_attempts[rate] += 1
             on_result(rate, success, t / 1e3)
 
             if success:
                 rate_successes[rate] += 1
-                delivered += 1
                 if n_deliv == len(delivery_buf):
                     delivery_buf = self._delivery_buf = np.concatenate(
                         [delivery_buf, np.empty_like(delivery_buf)])
@@ -747,7 +733,7 @@ class LinkProcess:
             else:
                 retries += 1
                 if retries > retry_limit:
-                    dropped += 1
+                    self._dropped += 1
                     on_dropped(t)
                     serving = False
             if single:
@@ -757,23 +743,19 @@ class LinkProcess:
         self._t = t
         self._serving = serving
         self._retries = retries
-        self._done = done
         self._hint_i = hint_i
         self._hint_cur = hint_cur
         self._last_hint = last_hint
         self._n_deliv = n_deliv
-        self._delivered = delivered
-        self._dropped = dropped
-        self._attempts = attempts
         return span
 
     def result(self) -> SimResult:
         """Snapshot of the replay outcome (complete once :attr:`done`)."""
         return SimResult(
             duration_s=self._trace.duration_s,
-            delivered=self._delivered,
+            delivered=self._n_deliv,
             dropped=self._dropped,
-            attempts=self._attempts,
+            attempts=sum(self._rate_attempts),
             payload_bytes=self._config.payload_bytes,
             rate_attempts=np.asarray(self._rate_attempts, dtype=np.int64),
             rate_successes=np.asarray(self._rate_successes, dtype=np.int64),

@@ -15,7 +15,7 @@ MAC-recovered losses are invisible to TCP, exactly as over real WiFi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from typing import Protocol
 
 __all__ = ["TrafficSource", "UdpSource", "TcpSource"]
@@ -50,16 +50,13 @@ class UdpSource:
         pass
 
 
-@dataclass
-class _InFlight:
-    ack_due_us: float
-
-
 class TcpSource:
     """Minimal single-flow TCP over the simulated link.
 
     The sender may have up to ``cwnd`` packets outstanding; each
-    delivered packet's ack returns after ``base_rtt_us``.  A MAC drop
+    delivered packet's ack returns after ``base_rtt_us``.  Deliveries
+    arrive in time order, so the acks in flight are due in FIFO order:
+    the queue's head is always the earliest.  A MAC drop
     triggers a timeout: the window collapses to 1, the source stalls for
     the current RTO, and the RTO doubles (Karn-style backoff) until a
     delivery succeeds again.
@@ -80,7 +77,8 @@ class TcpSource:
         self._base_rto_us = initial_rto_us
         self._rto_us = initial_rto_us
         self._max_rto_us = max_rto_us
-        self._in_flight: list[_InFlight] = []
+        #: Ack due times (µs) of the packets in flight, oldest first.
+        self._in_flight: deque[float] = deque()
         self._stalled_until_us = 0.0
         self.timeouts = 0
 
@@ -91,17 +89,14 @@ class TcpSource:
 
     def _reap_acks(self, now_us: float) -> None:
         """Process acks that have arrived by ``now_us`` (grows cwnd)."""
-        remaining: list[_InFlight] = []
-        for pkt in self._in_flight:
-            if pkt.ack_due_us <= now_us:
-                if self._cwnd < self._ssthresh:
-                    self._cwnd = min(self._max_cwnd, self._cwnd + 1.0)  # slow start
-                else:
-                    self._cwnd = min(self._max_cwnd, self._cwnd + 1.0 / self._cwnd)
-                self._rto_us = self._base_rto_us  # fresh RTT sample
+        in_flight = self._in_flight
+        while in_flight and in_flight[0] <= now_us:
+            in_flight.popleft()
+            if self._cwnd < self._ssthresh:
+                self._cwnd = min(self._max_cwnd, self._cwnd + 1.0)  # slow start
             else:
-                remaining.append(pkt)
-        self._in_flight = remaining
+                self._cwnd = min(self._max_cwnd, self._cwnd + 1.0 / self._cwnd)
+            self._rto_us = self._base_rto_us  # fresh RTT sample
 
     def next_send_time_us(self, now_us: float) -> float:
         self._reap_acks(now_us)
@@ -109,11 +104,10 @@ class TcpSource:
         if len(self._in_flight) < int(self._cwnd):
             return candidate
         # Window full: ready when the earliest ack lands (or stall ends).
-        earliest_ack = min(pkt.ack_due_us for pkt in self._in_flight)
-        return max(candidate, earliest_ack)
+        return max(candidate, self._in_flight[0])
 
     def on_delivered(self, now_us: float) -> None:
-        self._in_flight.append(_InFlight(ack_due_us=now_us + self._base_rtt_us))
+        self._in_flight.append(now_us + self._base_rtt_us)
 
     def on_dropped(self, now_us: float) -> None:
         """MAC gave up: TCP retransmission timeout."""

@@ -1,42 +1,24 @@
-"""Batch scenario engine: the network simulator on SoA machinery.
+"""Batch scenario engine: the reference scheduler plus saturated rounds.
 
 :class:`~repro.network.simulator.NetworkSimulator` (the reference
-engine) advances every station through its own Python
-:class:`~repro.mac.LinkProcess`, paying interpreter overhead per frame
-exchange.  :class:`NetworkBatchEngine` holds all stations' link state as
-the structure-of-arrays of :class:`~repro.mac.batch.BatchLinkEngine`
-(integer-µs clocks, rolling per-station RNG buffers, flattened fate
-tables, integer hint-edge thresholds) and drives their rate controllers
-through one :class:`~repro.rate.base.BatchRateAdapter` (composite across
-protocol classes), so the per-exchange work is array programs plus a
-tight scalar resolution loop instead of object-graph traversal.
+engine) re-enters its scheduler after every frame exchange: pop the
+winner, step its :class:`~repro.mac.LinkProcess`, then walk every
+co-cell contender to defer it past the exchange.  In a cell where every
+live station offers saturated UDP and all clocks are tied, each exchange
+re-ties all contenders at its end, so the winner sequence is pure
+round-robin and the per-exchange deferral walk only re-derives what is
+already known.
 
-Scheduling is *bit-identical* to the reference engine by construction:
-
-* winner selection shares :class:`~repro.network.simulator._ReadyQueue`
-  (the exact ``(ready_us, rr-rank)`` tie-break);
-* probe scans, association policies, scorer training and handoff
-  bookkeeping run through the shared
-  :class:`~repro.network.simulator._AssociationCore`, against station
-  views backed by the SoA rows;
-* the general path steps one winner at a time through
-  :meth:`BatchLinkEngine._attempt_step` -- the same array program the
-  grid executors run, already pinned bit-identical to the fast engine.
-
-The speed comes from the **saturated-round fast path**: in a cell where
-every live station offers saturated UDP, each exchange re-ties all
-contenders at its end time, so the winner sequence is provably pure
-round-robin.  The engine then commits whole rounds -- one attempt per
-station, in rotation order -- through a scalar resolution loop over
-pre-extracted native values (the sequential time dependency is real:
-each attempt starts where the previous exchange ended), with hint
-delivery handled mid-round at exact integer-µs thresholds and the
-controller updates applied as one vectorized ``on_result`` per round.
-Rounds stop at contention barriers: the next probe-scan boundary, a
-station death, or any condition the array program cannot express (the
-exact path resolves it, then rounds resume).  ``dense_cell`` -- 20
-saturated stations in one cell -- runs >=3x faster than the reference
-scheduler this way (pinned by ``benchmarks/test_bench_network.py``).
+:class:`NetworkBatchEngine` is that scheduler with one override,
+:meth:`~NetworkBatchEngine._commit_rounds`: on such a pick it steps the
+stations' own :class:`~repro.mac.LinkProcess` objects in rotation order,
+each starting where the previous exchange ended, and settles the
+contenders' deferrals once at the barrier -- the next probe scan or a
+station reaching its trace end.  Stations, controllers, hint delivery
+and association are the reference engine's, so there is one copy of
+the MAC semantics.  ``dense_cell`` -- 20 saturated stations in one cell
+-- runs >=3x faster than the reference scheduler this way (pinned by
+``benchmarks/test_bench_network.py``).
 
 Select with ``NetworkScenario(engine="batch")``; results are pinned
 bit-identical to the reference engine on the full golden scenario
@@ -45,584 +27,82 @@ catalog (``tests/test_network_batch.py``).
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left
+from itertools import cycle
 
-from ..channel.rates import N_RATES
-from ..core.hints import MovementHint
-from ..core.hint_protocol import HintChannel
-from ..mac import SimConfig, TcpSource, UdpSource
-from ..mac.batch import _RNG_BLOCK, _W, BatchLinkEngine, BatchLinkSpec
-from ..mac.simulator import _hint_edges
-from ..rate import RATE_PROTOCOLS
-from .scenario import NetworkScenario
-from .simulator import (
-    NetworkResult,
-    _AssociationCore,
-    _ReadyQueue,
-)
-from .traces import station_hints, station_script, station_seed, station_trace
+from .simulator import NetworkSimulator, _ReadyQueue, _StationRuntime
 
 __all__ = ["NetworkBatchEngine"]
 
 _INF = float("inf")
 
-#: Rounds between in-pass RNG refill sweeps.  A round consumes at most
-#: one backoff and one floor draw per station, so after a refill
-#: (cursors below one block) this many rounds stay safely inside the
-#: ``_W``-wide rolling buffers.
-_ROUNDS_PER_REFILL = (_W - _RNG_BLOCK - 2) // 2
 
+class NetworkBatchEngine(NetworkSimulator):
+    """Replay one scenario, committing saturated rounds in one pass."""
 
-class _BatchStationView:
-    """Association-layer view over one SoA row.
-
-    Presents the station attributes
-    :class:`~repro.network.simulator._AssociationCore` consumes
-    (mirroring ``_StationRuntime``), backed by the engine's arrays: a
-    controller reset becomes an adapter row reset, a hint resync
-    re-arms the row's delivery cursor, carrier-sense deferral moves the
-    row's integer clock.
-    """
-
-    __slots__ = ("_engine", "index", "spec", "script", "hints", "bssid",
-                 "assoc_since_s", "assoc_bearing_deg", "assoc_distance_m",
-                 "assoc_moving", "last_learned", "hints_delivered",
-                 "channel", "hint_times", "hint_vals", "hint_i", "hint_cur",
-                 "airtime_us")
-
-    def __init__(self, engine: "NetworkBatchEngine", index: int) -> None:
-        scenario = engine._scenario
-        self._engine = engine
-        self.index = index
-        self.spec = scenario.stations[index]
-        self.script = station_script(scenario, index)
-        self.hints = (station_hints(scenario, index)
-                      if scenario.hint_mode != "off" else None)
-        protocol_mode = scenario.hint_mode == "protocol"
-        self.hint_times, self.hint_vals = (
-            _hint_edges(self.hints) if protocol_mode and self.hints is not None
-            else ([], []))
-        self.hint_i = 0
-        self.hint_cur = False
-        self.channel = (
-            HintChannel(beacon_interval_s=scenario.hint_beacon_s)
-            if protocol_mode else None
-        )
-        self.last_learned: bool | None = None
-        self.hints_delivered = 0
-        self.bssid: str | None = None
-        self.assoc_since_s = 0.0
-        self.assoc_bearing_deg = 0.0
-        self.assoc_distance_m = 0.0
-        self.assoc_moving = False
-        self.airtime_us = 0.0
-
-    def advance_hint(self, t_s: float) -> bool:
-        """Advance the delivery-side hint cursor to ``t_s`` (monotone)."""
-        while self.hint_i < len(self.hint_times) and \
-                self.hint_times[self.hint_i] <= t_s:
-            self.hint_cur = self.hint_vals[self.hint_i]
-            self.hint_i += 1
-        return self.hint_cur
-
-    def hint_value_at(self, t_s: float) -> bool:
-        """The station's own hint at an arbitrary time (probe scans)."""
-        if self.hints is None:
-            return False
-        return bool(self.hints.value_at(t_s, default=False))
-
-    def on_reassociate(self) -> None:
-        """Fresh association: reset the controller row and re-arm hint
-        delivery, exactly as ``_StationRuntime.on_reassociate``."""
-        engine = self._engine
-        engine._adapter.reset_rows(np.array([self.index], dtype=np.int64))
-        engine._resync_row(self.index)
-        self.last_learned = None
-
-    def defer_until(self, t_us: float) -> None:
-        self._engine._defer_row(self.index, t_us)
-
-
-class NetworkBatchEngine(BatchLinkEngine):
-    """Replay one :class:`NetworkScenario` on the SoA batch machinery."""
-
-    def __init__(self, scenario: NetworkScenario) -> None:
-        specs = []
-        for i in range(scenario.n_stations):
-            spec = scenario.stations[i]
-            seed = station_seed(scenario, i)
-            controller = RATE_PROTOCOLS[spec.protocol](seed)
-            traffic = TcpSource() if spec.traffic == "tcp" else UdpSource()
-            hints = (station_hints(scenario, i)
-                     if scenario.hint_mode == "series" else None)
-            specs.append(BatchLinkSpec(
-                trace=station_trace(scenario, i),
-                controller=controller,
-                traffic=traffic,
-                hint_series=hints,
-                config=SimConfig(seed=seed,
-                                 hint_delay_s=scenario.hint_delay_s),
-            ))
-        self._scenario = scenario
-        super().__init__(specs)
-        self._net_controllers = [s.controller for s in self._specs]
-        self._assoc = _AssociationCore(scenario)
-        self._views = [_BatchStationView(self, i)
-                       for i in range(scenario.n_stations)]
-        #: Rows whose replay is over.  The engine never compacts: row
-        #: index == station index for the whole run, so scheduler state
-        #: stays aligned with the association layer and result order.
-        self._done_rows = np.zeros(self._n, dtype=bool)
-
-    # ------------------------------------------------------------------
-    # Per-row LinkProcess semantics over the SoA state
-    # ------------------------------------------------------------------
-    def _resync_row(self, r: int) -> None:
-        """``LinkProcess.resync_hints`` for one row: the next attempt
-        re-fires ``on_hint`` with the current value."""
-        self._last_hint[r] = -1
-        if self._hint_present[r]:
-            self._unprimed = True
-
-    def _defer_row(self, r: int, t_us: float) -> None:
-        """``LinkProcess.defer_until``: round fractional busy-ends up."""
-        t = int(self._t[r])
-        if t_us > t:
-            busy_until = int(t_us)
-            if busy_until < t_us:
-                busy_until += 1
-            self._t[r] = busy_until
-
-    def _mark_done(self, r: int) -> None:
-        if not self._done_rows[r]:
-            self._done_rows[r] = True
-            self._adapter.retire(np.array([r], dtype=np.int64))
-
-    def _expire_row(self, r: int) -> None:
-        """``LinkProcess._expire_in_flight``: the in-service packet
-        expires as a drop at trace end (no traffic timeout)."""
-        self._dropped_by_id[r] += 1
-        if not self._is_udp[r]:
-            self._serving[r] = False
-        self._mark_done(r)
-
-    def _row_serving(self, r: int) -> bool:
-        """Mid-packet across scheduler events.  For TCP rows the engine
-        maintains the LinkProcess serving flag directly; saturated-UDP
-        rows are mid-packet exactly while retrying (a success clears
-        retries and the next packet releases immediately)."""
-        if self._is_udp[r]:
-            return bool(self._retries[r] >= 1)
-        return bool(self._serving[r])
-
-    def _row_ready(self, r: int) -> float:
-        """``LinkProcess.next_ready_us`` for one row, side effects and
-        all (end-of-trace expiry, done transitions)."""
-        if self._done_rows[r]:
-            return _INF
-        t = int(self._t[r])
-        dur = self._dur[r]
-        if self._row_serving(r):
-            if t >= dur:
-                self._expire_row(r)
-                return _INF
-            return float(t)
-        if t >= dur:
-            self._mark_done(r)
-            return _INF
-        if self._is_udp[r]:
-            return float(t)
-        send_at = self._traffic[r].next_send_time_us(t)
-        if send_at <= t:
-            return float(t)
-        if send_at >= dur or send_at == _INF:
-            self._mark_done(r)
-            return _INF
-        return float(send_at)
-
-    def _step_row(self, r: int) -> tuple[float, float, bool] | None:
-        """``LinkProcess.step``: one idle advance or one frame exchange
-        for the winner row; returns ``(start_us, end_us, success)`` when
-        the medium was occupied."""
-        t = int(self._t[r])
-        dur = self._dur[r]
-        if not self._row_serving(r):
-            if t >= dur:
-                self._mark_done(r)
-                return None
-            if not self._is_udp[r]:
-                if self._phase_a(r):
-                    self._mark_done(r)
-                    return None
-                if not self._serving[r]:
-                    return None          # idle advance: clock moved
-        elif t >= dur:
-            # Deferred past the trace end mid-service: expire, don't
-            # transmit into a world that no longer exists.
-            self._expire_row(r)
-            return None
-        att = np.array([r], dtype=np.int64)
-        dead, rates, succ, t0, t2 = self._attempt_step(att)
-        if dead[r]:
-            self._mark_done(r)
-        return (float(t0[0]), float(t2[0]), bool(succ[0]))
-
-    # ------------------------------------------------------------------
-    # Hint Protocol delivery (``protocol`` mode)
-    # ------------------------------------------------------------------
-    def _deliver_hint(self, r: int, end_s: float, success: bool) -> None:
-        view = self._views[r]
-        channel = view.channel
-        assert channel is not None
-        channel.publish(
-            MovementHint(time_s=end_s, moving=view.advance_hint(end_s)))
-        learned = channel.deliver(end_s, exchange_success=success)
-        if learned is not None and isinstance(learned, MovementHint):
-            view.hints_delivered += 1
-            if learned.moving != view.last_learned:
-                self._adapter.on_hint_batch(
-                    np.array([r], dtype=np.int64),
-                    np.array([learned.moving], dtype=bool),
-                    np.array([learned.time_s]),
-                )
-                view.last_learned = learned.moving
-
-    # ------------------------------------------------------------------
-    # Saturated-round fast path
-    # ------------------------------------------------------------------
-    def _round_ok(self, best_i: int, best_ready: float) -> bool:
-        """Whether the winner's pick opens a pure round-robin regime:
-        every live station is a saturated-UDP member of the winner's
-        cell with an identical clock, no controller consumes SNR, and
-        hints travel in-band (``series``/``off``).  Under exactly these
-        conditions each exchange re-ties all contenders at its end, so
-        the winner sequence is cyclic and whole rounds can be committed
-        without consulting the scheduler."""
-        if self._observe or self._scenario.hint_mode == "protocol":
-            return False
-        views = self._views
-        bssid = views[best_i].bssid
-        if bssid is None:
-            return False
-        done = self._done_rows
-        t = self._t
-        t0 = t[best_i]
-        if float(t0) != best_ready:
-            return False
-        for r in range(self._n):
-            if done[r]:
-                continue
-            if not self._is_udp[r] or views[r].bssid != bssid \
-                    or t[r] != t0:
-                return False
-        return True
-
-    def _commit_rounds(self, best_i: int, next_scan_us: float,
+    def _commit_rounds(self, stations: list[_StationRuntime], best_i: int,
+                       best_ready: float, next_scan_us: float,
                        queue: _ReadyQueue, rr: int) -> int | None:
-        """Commit round-robin rounds until a contention barrier.
+        """Commit round-robin rounds from a tied saturated-UDP cell.
 
-        Returns the new ``rr`` cursor, or None when nothing could be
-        committed (the caller falls back to the exact single step).
-
-        The resolution loop is scalar because the dependency is real:
-        each attempt starts where the previous exchange ended (all
-        co-cell contenders defer past it).  The engine first *retires*
-        the participants' adapter state into the real controller
-        objects and drives those directly -- ``choose_rate`` /
-        ``on_result`` / ``on_hint`` per attempt, the exact calls the
-        reference engine makes -- over native mirrors of the SoA
-        tables, then reloads the adapter rows on exit.  What remains
-        vectorized is everything around the loop (RNG block refills,
-        log accumulation, result assembly); what the loop saves is the
-        scheduler: no ready-queue traffic, no per-station deferral
-        walk, no per-attempt array dispatch.
+        Eligible when every live station is a saturated-UDP member of
+        the winner's cell with its clock at ``best_ready``.  Stations
+        then transmit in ``(i - rr) % n`` order, each deferred to the
+        previous exchange's end, until the next scan time or a station
+        whose turn starts at or past its trace end.  At the barrier the
+        contenders' pending deferrals (and any end-of-trace expiries)
+        are applied through the same ``LinkProcess`` calls the reference
+        makes per exchange (a no-op deferral for the last winner, whose
+        clock is already there): UDP sources are stateless, so only the
+        final deferral is observable.
         """
-        n = self._n
-        adapter = self._adapter
-        live = np.flatnonzero(~self._done_rows)
-        order = live[np.argsort((live - rr) % n)].tolist()
-        scenario = self._scenario
-        scan_limit = next_scan_us if next_scan_us < scenario.duration_s * 1e6 \
-            else _INF
-
-        # Controllers become authoritative for the whole segment.
-        adapter.retire(live)
-        controllers = [self._net_controllers[r] for r in order]
-
-        # Native per-participant tables (+ shared flat arrays).
-        slot_s = [float(self._slot_s[r]) for r in order]
-        last_slot = [int(self._last_slot[r]) for r in order]
-        fate_off = [int(self._fate_off[r]) for r in order]
-        dur = [float(self._dur[r]) for r in order]
-        at_base = [int(self._row2r[r]) for r in order]
-        retry_lim = [int(self._retry_limit[r]) for r in order]
-        ladder = [int(self._ladder[r]) for r in order]
-        floor_p = [float(self._floor_p[r]) for r in order]
-        rowW = [int(self._rowW[r]) for r in order]
-        retries = [int(self._retries[r]) for r in order]
-        bk_pos = [int(self._bk_pos[r]) for r in order] \
-            if self._use_backoff else None
-        fl_pos = [int(self._fl_pos[r]) for r in order] \
-            if self._floor_on else None
-        airtime = [0] * len(order)
-        fates = self._fates_flat
-        at_flat = self._at_flat.tolist()
-        cw1 = self._cw1f.tolist()
-        use_backoff = self._use_backoff
-        floor_on = self._floor_on
-        ladder_on = self._ladder_on
-        slot_time = self._slot_time
-        bk_flat = self._bk_flat if use_backoff else None
-        fl_flat = self._fl_flat if floor_on else None
-        # Hint-edge cursors, native (delivery goes to the controller).
-        any_hints = self._any_hints
-        if any_hints:
-            thresh = self._hint_thresh.tolist()
-            tvals = self._hint_vals.tolist()
-            present = [bool(self._hint_present[r]) for r in order]
-            hint_ptr = [int(self._hint_ptr[r]) for r in order]
-            hint_end = [int(self._hint_end[r]) for r in order]
-            next_hint = [int(self._next_hint[r]) for r in order]
-            hint_cur = [int(self._hint_cur[r]) for r in order]
-            lhint = [int(self._last_hint[r]) for r in order]
-            far = int(np.int64(2) ** 62)
-        choose = [c.choose_rate for c in controllers]
-        on_result = [c.on_result for c in controllers]
-
-        def sync_positions() -> None:
-            if use_backoff:
-                for k2, r2 in enumerate(order):
-                    self._bk_pos[r2] = bk_pos[k2]
-            if floor_on:
-                for k2, r2 in enumerate(order):
-                    self._fl_pos[r2] = fl_pos[k2]
-
-        self._refill()
-        if use_backoff:
-            bk_pos = [int(self._bk_pos[r]) for r in order]
-        if floor_on:
-            fl_pos = [int(self._fl_pos[r]) for r in order]
-        rounds_since_refill = 0
-        t = int(self._t[order[0]])
-        committed = 0
-        last_winner = -1
-        died_k = -1
-        ids: list[int] = []
-        rates_l: list[int] = []
-        succ_l: list[bool] = []
-        ends: list[int] = []
-        stop = False
-
-        while not stop:
-            if rounds_since_refill >= _ROUNDS_PER_REFILL:
-                sync_positions()
-                self._refill()
-                if use_backoff:
-                    bk_pos = [int(self._bk_pos[r]) for r in order]
-                if floor_on:
-                    fl_pos = [int(self._fl_pos[r]) for r in order]
-                rounds_since_refill = 0
-            rounds_since_refill += 1
-            for k, r in enumerate(order):
-                if t >= scan_limit or t >= dur[k]:
-                    stop = True
-                    break
-                if any_hints and present[k] \
-                        and (next_hint[k] <= t or lhint[k] == -1):
-                    # Exact in-round delivery at the attempt start,
-                    # straight to the controller (``on_hint``), with
-                    # the engine-side edge cursor advanced natively.
-                    p = hint_ptr[k]
-                    end_p = hint_end[k]
-                    cur = hint_cur[k]
-                    while p < end_p and thresh[p] <= t:
-                        cur = 1 if tvals[p] else 0
-                        p += 1
-                    hint_ptr[k] = p
-                    next_hint[k] = thresh[p] if p < end_p else far
-                    hint_cur[k] = cur
-                    if cur != lhint[k]:
-                        controllers[k].on_hint(
-                            MovementHint(time_s=t / 1e6, moving=bool(cur)))
-                        lhint[k] = cur
-                rate = int(choose[k](t / 1e3))
-                if not 0 <= rate < N_RATES:
-                    raise ValueError(f"controller chose invalid rate {rate}")
-                retries_r = retries[k]
-                if ladder_on and retries_r > ladder[k]:
-                    rate -= retries_r - ladder[k]
-                    if rate < 0:
-                        rate = 0
-                t1 = t
-                if use_backoff:
-                    u = bk_flat[rowW[k] + bk_pos[k]]
-                    bk_pos[k] += 1
-                    cw = cw1[retries_r if retries_r < 15 else 15]
-                    t1 = t + int(u * cw) * slot_time
-                sl = int((t1 / 1e6) / slot_s[k])
-                if sl > last_slot[k]:
-                    sl = last_slot[k]
-                success = bool(fates[sl * N_RATES + rate + fate_off[k]])
-                if success and floor_on and floor_p[k] > 0:
-                    success = fl_flat[rowW[k] + fl_pos[k]] >= floor_p[k]
-                    fl_pos[k] += 1
-                t2 = t1 + at_flat[at_base[k] + success * N_RATES + rate]
-                on_result[k](rate, success, t2 / 1e3)
-                airtime[k] += t2 - t
-                ids.append(r)
-                rates_l.append(rate)
-                succ_l.append(success)
-                ends.append(t2)
-                if success:
-                    retries[k] = 0
-                else:
-                    retries_r += 1
-                    if retries_r > retry_lim[k]:
-                        self._dropped_by_id[r] += 1
-                        retries[k] = 0
-                    else:
-                        retries[k] = retries_r
-                        if t2 >= dur[k]:
-                            # In-flight packet at trace end: dropped.
-                            self._dropped_by_id[r] += 1
-                t = t2
-                committed += 1
-                last_winner = r
-                if t2 >= dur[k]:
-                    died_k = k
-                    stop = True
-                    break
-
-        # The next exact step must re-scan RNG cursors before drawing.
-        sync_positions()
-        self._refill_cd = 0
-        if committed == 0:
-            adapter.reload_rows(live)
+        bssid = stations[best_i].bssid
+        if bssid is None:
             return None
-
-        if ids:
-            ids_arr = np.array(ids, dtype=np.int64)
-            rates_arr = np.array(rates_l, dtype=np.int64)
-            succ_arr = np.array(succ_l, dtype=bool)
-            ends_arr = np.array(ends, dtype=np.int64)
-            self._log_att.append((ids_arr, rates_arr))
-            si = succ_arr.nonzero()[0]
-            if si.size:
-                self._log_succ.append(
-                    (ids_arr[si], rates_arr[si], ends_arr[si] / 1e6))
-
-        # Write the native mirrors back: every live contender deferred
-        # past each committed exchange (the death exchange included),
-        # so clocks land on the final end, the cell's busy horizon
-        # moves there, and the round-robin cursor rotates past the last
-        # winner -- exactly the reference scheduler's state after the
-        # same exchanges.
-        for k, r in enumerate(order):
-            self._retries[r] = retries[k]
-            self._t[r] = t
-            self._views[r].airtime_us += airtime[k]
-            if any_hints:
-                self._hint_ptr[r] = hint_ptr[k]
-                self._next_hint[r] = next_hint[k]
-                self._hint_cur[r] = hint_cur[k]
-                self._last_hint[r] = lhint[k]
-        if any_hints and self._unprimed:
-            self._unprimed = bool(
-                (self._hint_present & (self._last_hint == -1)).any())
-        adapter.reload_rows(live)
-        if died_k >= 0:
-            # Retire after the reload (the controller already holds the
-            # final state); its expiry drop was counted in the loop.
-            self._mark_done(order[died_k])
-        bssid = self._views[order[0]].bssid
-        busy = self._assoc._cell_busy_us
-        if t > busy.get(bssid, 0.0):
-            busy[bssid] = float(t)
-        for r in order:
-            queue.update(r, self._row_ready(r))
-        return (last_winner + 1) % n
-
-    # ------------------------------------------------------------------
-    # Scheduler
-    # ------------------------------------------------------------------
-    def run(self) -> NetworkResult:
-        scenario = self._scenario
-        assoc = self._assoc
-        views = self._views
-        n = self._n
-        duration_us = scenario.duration_s * 1e6
-        scan_step_us = scenario.scan_interval_s * 1e6
-        next_scan_us = 0.0
-        protocol_hints = scenario.hint_mode == "protocol"
-        rr = 0
-        cell_busy_us = assoc._cell_busy_us
-        cell_members = assoc._cell_members
-
-        queue = _ReadyQueue(n)
-        for i in range(n):
-            queue.update(i, self._row_ready(i))
-
-        while True:
-            best_i, best_ready = queue.pop_best(rr)
-            if best_i < 0:
-                break
-            if next_scan_us <= best_ready and next_scan_us < duration_us:
-                while next_scan_us <= best_ready \
-                        and next_scan_us < duration_us:
-                    assoc._scan(views, next_scan_us / 1e6)
-                    next_scan_us += scan_step_us
-                for i in range(n):
-                    queue.update(i, self._row_ready(i))
-
-            if self._round_ok(best_i, best_ready):
-                new_rr = self._commit_rounds(best_i, next_scan_us, queue, rr)
-                if new_rr is not None:
-                    rr = new_rr
-                    continue
-
-            if self._refill_cd <= 0:
-                self._refill()
-            self._refill_cd -= 1
-            span = self._step_row(best_i)
-            if span is None:
-                queue.update(best_i, self._row_ready(best_i))
+        live = []
+        for st in stations:
+            if st.proc.done:
                 continue
-            start_us, end_us, success = span
-            view = views[best_i]
-            view.airtime_us += end_us - start_us
-            if view.bssid is not None:
-                if end_us > cell_busy_us.get(view.bssid, 0.0):
-                    cell_busy_us[view.bssid] = end_us
-                for j in cell_members.get(view.bssid, ()):
-                    if j != best_i and not self._done_rows[j]:
-                        self._defer_row(j, end_us)
-                        queue.update(j, self._row_ready(j))
-            rr = (best_i + 1) % n
-            if protocol_hints:
-                self._deliver_hint(best_i, end_us / 1e6, success)
-            queue.update(best_i, self._row_ready(best_i))
-
-        # Trailing probe scans (same semantics as the reference engine).
-        while next_scan_us < duration_us:
-            assoc._scan(views, next_scan_us / 1e6)
-            next_scan_us += scan_step_us
-
-        for view in views:
-            assoc._close_association(view, scenario.duration_s, train=False)
-
-        results = self._results()
-        names = [s.name for s in scenario.stations]
-        return NetworkResult(
-            scenario=scenario,
-            stations=dict(zip(names, results)),
-            handoffs=assoc._handoffs,
-            association_events=assoc._events,
-            censored_events=assoc._censored,
-            airtime_us={name: view.airtime_us
-                        for name, view in zip(names, views)},
-            hints_delivered={name: view.hints_delivered
-                             for name, view in zip(names, views)},
-            controllers={name: spec.controller
-                         for name, spec in zip(names, self._specs)},
-            scorer=assoc._scorer,
-        )
+            if st.spec.traffic != "udp" or st.bssid != bssid \
+                    or st.proc.now_us != best_ready:
+                return None
+            live.append(st)
+        # The winner heads the rotation; it is ready before the next
+        # scan and its trace end, so at least one exchange commits.
+        cut = bisect_left([st.index for st in live], rr)
+        order = live[cut:] + live[:cut]
+        procs = [st.proc for st in order]
+        runs = [proc._run for proc in procs]
+        ends = [proc._duration_us for proc in procs]
+        airtime = [st.airtime_us for st in order]
+        log = self._exchanges
+        names = [st.spec.name for st in order]
+        deliver = (self._deliver_hint
+                   if self._scenario.hint_mode == "protocol" else None)
+        scan_us = next_scan_us \
+            if next_scan_us < self._scenario.duration_s * 1e6 else _INF
+        t = procs[0].now_us
+        for k, proc, run, stop_us in cycle(zip(range(len(order)), procs,
+                                                runs, ends)):
+            if t >= scan_us or t >= stop_us:
+                break
+            proc._t = t
+            start, end, success = run(True)
+            airtime[k] += end - start
+            if log is not None:
+                log.append((names[k], start, end, success))
+            if deliver is not None:
+                deliver(order[k], end / 1e6, success)
+            # defer_until's round-up rule for the next station's start.
+            t = int(end)
+            if t < end:
+                t += 1
+        for j, st in enumerate(order):
+            st.airtime_us = airtime[j]
+            queue.update(st.index, procs[j].defer_and_ready(end))
+        busy = self._assoc._cell_busy_us
+        if end > busy.get(bssid, 0.0):
+            busy[bssid] = end
+        # order[k] is where the barrier stopped; the station before it
+        # (cyclically) won the last exchange.
+        return (order[k - 1].index + 1) % len(stations)

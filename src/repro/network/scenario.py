@@ -53,11 +53,12 @@ ASSOCIATION_POLICIES = ("strongest", "lifetime")
 TRAFFIC_KINDS = ("udp", "tcp")
 
 #: Scenario replay engines: ``reference`` -- per-station
-#: :class:`~repro.mac.LinkProcess` steppers under the exact scheduler
-#: (the oracle); ``batch`` -- the SoA engine
-#: (:class:`~repro.network.batch.NetworkBatchEngine`) that advances
-#: stations in vectorized passes between contention barriers.  Results
-#: are bit-identical; ``batch`` is the fast path for dense cells.
+#: :class:`~repro.mac.LinkProcess` steppers under the exact scheduler,
+#: one exchange per pick (the oracle); ``batch`` -- the same scheduler
+#: and steppers (:class:`~repro.network.batch.NetworkBatchEngine`), but
+#: committing whole round-robin rounds of a saturated cell between
+#: contention barriers.  Results are bit-identical; ``batch`` is the
+#: fast path for dense cells.
 NETWORK_ENGINES = ("reference", "batch")
 
 

@@ -28,12 +28,19 @@ so the network layer is a strict generalisation of the single-link
 simulator, not a fork.  With one station there is no contention (no
 deferrals), scans never hand off, and the hint path is exactly the link
 simulator's.
+
+Both scenario engines run this module's scheduler over the same
+stations (:class:`_StationRuntime`, one ``LinkProcess`` each): the
+reference :class:`NetworkSimulator` steps one exchange per pick, and
+:class:`~repro.network.batch.NetworkBatchEngine` fills in its one hook,
+``_commit_rounds``, to commit saturated rounds in one pass.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Callable
 
 from ..ap.association import (
     ApInfo,
@@ -161,8 +168,8 @@ class _ReadyQueue:
     heap push and one bucket sweep per exchange -- no per-station heap
     churn.
 
-    Shared by :class:`NetworkSimulator` and the batch scenario engine
-    (:mod:`repro.network.batch`), so both replay the exact same winner
+    The batch scenario engine (:mod:`repro.network.batch`) runs the
+    same scheduler, so both engines replay the exact same winner
     sequence by construction.
     """
 
@@ -315,16 +322,12 @@ class _StationRuntime:
 
 
 class _AssociationCore:
-    """The probe / association / scorer layer, engine-agnostic.
+    """The probe / association / scorer layer over the stations.
 
-    Both scenario engines -- the reference :class:`NetworkSimulator`
-    and the batch engine (:mod:`repro.network.batch`) -- drive this
-    exact code with their own station views, so scan decisions, scorer
-    training and handoff bookkeeping cannot diverge between them.  A
-    *view* is any object with the association attributes of
-    :class:`_StationRuntime` (``spec``/``script``/``index``/``bssid``/
-    ``assoc_*``) plus ``hint_value_at``/``on_reassociate``/
-    ``defer_until``.
+    Scans read and update each :class:`_StationRuntime`'s association
+    state (``bssid``/``assoc_*``) and call its ``hint_value_at``/
+    ``on_reassociate``/``defer_until``; the scheduler reads the per-cell
+    busy horizons and member sets kept here.
     """
 
     def __init__(self, scenario: NetworkScenario) -> None:
@@ -465,10 +468,13 @@ class NetworkSimulator:
     """Replay one :class:`NetworkScenario` to completion.
 
     This is the *reference* scenario engine: per-station resumable
-    :class:`~repro.mac.LinkProcess` steppers under the exact scheduler.
-    ``NetworkScenario(engine="batch")`` routes :func:`run_scenario` to
-    the SoA batch engine instead (:mod:`repro.network.batch`), which is
-    pinned bit-identical to this one.
+    :class:`~repro.mac.LinkProcess` steppers under the exact scheduler,
+    one frame exchange per pick.  ``NetworkScenario(engine="batch")``
+    routes :func:`run_scenario` to the subclass
+    :class:`~repro.network.batch.NetworkBatchEngine`, which fills in
+    the one hook :attr:`_commit_rounds` to commit saturated contention
+    rounds without re-entering the scheduler; it is pinned bit-identical
+    to this one.
 
     ``record_exchanges=True`` additionally logs every medium-occupying
     frame exchange as ``(station, start_us, end_us, success)`` into
@@ -504,12 +510,22 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
     # Scheduler
     # ------------------------------------------------------------------
+    #: Saturated-round hook, tried on every pick that did not trigger a
+    #: probe scan: ``_commit_rounds(stations, best_i, best_ready,
+    #: next_scan_us, queue, rr)`` commits several exchanges from the
+    #: pick and returns the new round-robin cursor (leaving ``queue``
+    #: and the cell state as the per-exchange path would), or None to
+    #: let the scheduler step the winner.  The reference steps one
+    #: exchange per pick, so it has no hook and pays no per-pick call.
+    _commit_rounds: Callable[..., int | None] | None = None
+
     def run(self) -> NetworkResult:
         scenario = self._scenario
         assoc = self._assoc
         cell_busy_us = assoc._cell_busy_us
         cell_members = assoc._cell_members
         exchanges = self._exchanges
+        commit_rounds = self._commit_rounds
         stations = [_StationRuntime(scenario, i)
                     for i in range(scenario.n_stations)]
         n = len(stations)
@@ -543,8 +559,15 @@ class NetworkSimulator:
                     next_scan_us += scan_step_us
                 # Handoffs re-cell stations and newcomer carrier sense
                 # defers them; refresh every ready time (scans are rare).
+                # The popped winner is stepped even if its clock moved.
                 for i in range(n):
                     queue.update(i, stations[i].proc.next_ready_us())
+            elif commit_rounds is not None:
+                new_rr = commit_rounds(stations, best_i, best_ready,
+                                       next_scan_us, queue, rr)
+                if new_rr is not None:
+                    rr = new_rr
+                    continue
 
             st = stations[best_i]
             span = st.proc.step()
@@ -605,7 +628,7 @@ def run_scenario(scenario: NetworkScenario) -> NetworkResult:
     """Replay a scenario on the engine it selects.
 
     ``engine="reference"`` (the default) runs :class:`NetworkSimulator`;
-    ``engine="batch"`` runs the SoA batch engine
+    ``engine="batch"`` runs its round-committing subclass
     (:class:`~repro.network.batch.NetworkBatchEngine`), bit-identical
     and much faster on dense cells.
     """

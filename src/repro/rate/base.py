@@ -99,6 +99,10 @@ class BatchRateAdapter:
     entirely (the draws it would feed are unobservable, so results are
     unchanged).  ``cruise`` is ``None`` or a :class:`CruiseView` enabling
     the engine's vectorized success-run fast path.
+
+    Only the grid engine (:mod:`repro.mac.batch`) drives adapters; the
+    scalar engines, network scenario engines included, call the
+    controller objects directly.
     """
 
     uses_snr: bool = True
@@ -140,31 +144,6 @@ class BatchRateAdapter:
 
     def retire(self, rows: np.ndarray) -> None:
         """Write adapter state back into the wrapped controllers."""
-
-    def reset_rows(self, rows) -> None:
-        """:meth:`RateController.reset` for the selected links.
-
-        The network scenario engine resets a station's controller on
-        every handoff (fresh association); adapters whose authoritative
-        state lives in SoA arrays must override this to reset those
-        rows, exactly as ``controller.reset()`` would have.
-        """
-        cs = self.controllers
-        for i in rows:
-            cs[int(i)].reset()
-
-    def reload_rows(self, rows) -> None:
-        """Re-read adapter state from the wrapped controller objects.
-
-        The inverse of :meth:`retire`, for engines that hand rows to
-        scalar code mid-run: the network scenario engine retires a
-        contention group's rows, drives the controller objects directly
-        through its round-robin fast path (exact per-attempt calls, no
-        array dispatch), and reloads the rows before returning to the
-        array program.  Adapters whose controllers are always
-        authoritative (the loop fallback, stateless fixed rates) need
-        no work.
-        """
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop finished links; ``keep`` indexes the surviving rows."""
@@ -236,14 +215,14 @@ class LoopBatchAdapter(BatchRateAdapter):
 class CompositeBatchAdapter(BatchRateAdapter):
     """Partition a heterogeneous batch into per-class sub-adapters.
 
-    Mixed-protocol batches (the network scenario engine's stations, or
-    any spec list with several controller classes) used to fall back to
-    the all-Python loop for *every* link; here each controller class
-    drives its own rows through its own vectorized adapter (or the loop
-    fallback, per class), with row indexes mapped through per-group
-    index arrays.  Results are bit-identical to driving the controllers
-    one by one -- each sub-adapter already guarantees that for its class
-    and the groups touch disjoint rows.  No cruise view is exposed:
+    Mixed-protocol batches (a spec list with several controller
+    classes) used to fall back to the all-Python loop for *every* link;
+    here each controller class drives its own rows through its own
+    vectorized adapter (or the loop fallback, per class), with row
+    indexes mapped through per-group index arrays.  Results are
+    bit-identical to driving the controllers one by one -- each
+    sub-adapter already guarantees that for its class and the groups
+    touch disjoint rows.  No cruise view is exposed:
     cruise tableaux need one homogeneous ``current()`` array, and the
     engines that want cruise keep partitioning by class upstream.
     """
@@ -325,14 +304,6 @@ class CompositeBatchAdapter(BatchRateAdapter):
     def retire(self, rows) -> None:
         for sub, local, _pos in self._split(np.asarray(rows, dtype=np.int64)):
             sub.retire(local)
-
-    def reset_rows(self, rows) -> None:
-        for sub, local, _pos in self._split(np.asarray(rows, dtype=np.int64)):
-            sub.reset_rows(local)
-
-    def reload_rows(self, rows) -> None:
-        for sub, local, _pos in self._split(np.asarray(rows, dtype=np.int64)):
-            sub.reload_rows(local)
 
     def compact(self, keep) -> None:
         super().compact(keep)

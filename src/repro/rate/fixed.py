@@ -76,9 +76,6 @@ class _FixedBatchAdapter(BatchRateAdapter):
     def on_result_batch(self, rows, rates, successes, now_ms) -> None:
         pass
 
-    def reset_rows(self, rows) -> None:
-        pass  # FixedRate.reset is a no-op
-
     def compact(self, keep) -> None:
         super().compact(keep)
         self.rates = self.rates[keep]

@@ -227,24 +227,6 @@ class _HintAwareBatchAdapter(BatchRateAdapter):
         for r in rows:
             self.controllers[int(r)]._moving = bool(self.moving[r])
 
-    def reset_rows(self, rows) -> None:
-        for r in rows:
-            r = int(r)
-            self.soa.reset_row(r)
-            if self.static_soa is not None:
-                self.static_soa.reset_row(r)
-            else:
-                self.statics[r].reset()
-            self.moving[r] = False
-            self.controllers[r].switch_count = 0
-
-    def reload_rows(self, rows) -> None:
-        self.soa.load_rows(rows, [c._mobile for c in self.controllers])
-        if self.static_soa is not None:
-            self.static_soa.load_rows(rows, self.statics)
-        for r in rows:
-            self.moving[r] = self.controllers[int(r)]._moving
-
     def compact(self, keep) -> None:
         super().compact(keep)
         self.soa.compact(keep)

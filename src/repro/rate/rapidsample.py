@@ -233,19 +233,6 @@ class RapidSampleSoA:
             c._sampling = bool(self.sampling[r])
             c._old_rate = int(self.old_rate[r])
 
-    def load_rows(self, rows: np.ndarray,
-                  controllers: Sequence[RapidSample]) -> None:
-        """Re-read rows' state from their RapidSample instances (the
-        inverse of :meth:`retire_rows`)."""
-        for r in rows:
-            r = int(r)
-            c = controllers[r]
-            self.failed[r, :] = c._failed_time
-            self.picked[r, :] = c._picked_time
-            self.current[r] = c._current
-            self.sampling[r] = c._sampling
-            self.old_rate[r] = c._old_rate
-
     def compact(self, keep: np.ndarray) -> None:
         self.failed = self.failed[keep]
         self.picked = self.picked[keep]
@@ -330,13 +317,6 @@ class _RapidSampleBatchAdapter(BatchRateAdapter):
 
     def retire(self, rows) -> None:
         self.soa.retire_rows(rows, self.controllers)
-
-    def reset_rows(self, rows) -> None:
-        for r in rows:
-            self.soa.reset_row(int(r))
-
-    def reload_rows(self, rows) -> None:
-        self.soa.load_rows(rows, self.controllers)
 
     def compact(self, keep) -> None:
         super().compact(keep)

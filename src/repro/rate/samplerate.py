@@ -412,19 +412,6 @@ class SampleRateSoA:
             self._grow_to(self._cap * 2)
 
     # ------------------------------------------------------------------
-    def reset_row(self, row: int) -> None:
-        """:meth:`SampleRate.reset` for one link (the RNG is untouched,
-        exactly as the instance method leaves it)."""
-        self.tx[row, :] = 0.0
-        self.succ[row, :] = 0
-        self.fail[row, :] = 0
-        self.consec[row, :] = 0
-        self.packet_count[row] = 0
-        self.current[row] = self.n_rates - 1
-        self.sampling_rate[row] = -1
-        self.start[row] = 0
-        self.end[row] = 0
-
     def retire_rows(self, rows: np.ndarray,
                     controllers: Sequence["SampleRate"]) -> None:
         """Write rows' state back into their SampleRate instances."""
@@ -448,31 +435,6 @@ class SampleRateSoA:
                 )
                 for j in range(int(self.start[r]), int(self.end[r]))
             )
-
-    def load_rows(self, rows: np.ndarray,
-                  controllers: Sequence["SampleRate"]) -> None:
-        """Re-read rows' state from their SampleRate instances (the
-        inverse of :meth:`retire_rows`)."""
-        for r in rows:
-            r = int(r)
-            c = controllers[r]
-            self.tx[r, :] = c._tx_time_us
-            self.succ[r, :] = c._successes
-            self.fail[r, :] = c._failures
-            self.consec[r, :] = c._consecutive_failures
-            self.packet_count[r] = c._packet_count
-            self.current[r] = c._current
-            self.sampling_rate[r] = (
-                -1 if c._sampling_rate is None else c._sampling_rate)
-            n_rec = len(c._records)
-            self._grow_to(n_rec)
-            for j, rec in enumerate(c._records):
-                self.rec_time[r, j] = rec.time_ms
-                self.rec_rate[r, j] = rec.rate
-                self.rec_succ[r, j] = rec.success
-                self.rec_air[r, j] = rec.airtime_us
-            self.start[r] = 0
-            self.end[r] = n_rec
 
     def compact(self, keep: np.ndarray) -> None:
         for name in ("tx", "succ", "fail", "consec", "lossless", "ok_air",
@@ -501,13 +463,6 @@ class _SampleRateBatchAdapter(BatchRateAdapter):
 
     def retire(self, rows) -> None:
         self.soa.retire_rows(rows, self.controllers)
-
-    def reset_rows(self, rows) -> None:
-        for r in rows:
-            self.soa.reset_row(int(r))
-
-    def reload_rows(self, rows) -> None:
-        self.soa.load_rows(rows, self.controllers)
 
     def compact(self, keep) -> None:
         super().compact(keep)

@@ -116,6 +116,24 @@ class TestBatchEdgeCases:
         assert_results_identical(udp, _fast(tcp=False, seed=SEED))
         assert_results_identical(tcp, _fast(tcp=True, seed=SEED + 1))
 
+    def test_mixed_controller_classes_in_one_engine(self):
+        """A hand-built heterogeneous engine (``run_batch`` partitions by
+        class instead) drives each class through its own sub-adapter of
+        the composite, dropping rows as links end at different times."""
+        from repro.mac.batch import BatchLinkEngine
+        from repro.rate.base import CompositeBatchAdapter
+
+        links = [("RapidSample", 2.0, False), ("SampleRate", 4.0, False),
+                 ("HintAware", 3.0, True), ("CHARM", 4.0, False),
+                 ("RapidSample", 3.0, True)]
+        engine = BatchLinkEngine([
+            _spec(protocol=p, duration_s=d, tcp=tcp, seed=SEED + i)
+            for i, (p, d, tcp) in enumerate(links)])
+        assert isinstance(engine._adapter, CompositeBatchAdapter)
+        for i, ((p, d, tcp), res) in enumerate(zip(links, engine.run())):
+            assert_results_identical(
+                res, _fast(protocol=p, duration_s=d, tcp=tcp, seed=SEED + i))
+
     def test_no_hints_no_backoff_no_floor(self):
         """Config flags off: the engine must not consume those streams."""
         kwargs = dict(use_backoff=False, floor_loss_prob=0.0,

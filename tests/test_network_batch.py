@@ -4,12 +4,12 @@ The defining contract of ``NetworkScenario(engine="batch")``
 (:class:`repro.network.batch.NetworkBatchEngine`): every observable of
 a scenario replay -- per-station :class:`~repro.mac.SimResult` arrays,
 handoffs, association events (trained and censored), per-station
-airtime, over-the-air hint deliveries, the trained scorer -- equals the
-reference :class:`~repro.network.NetworkSimulator`'s bit for bit.  The
-golden catalog configurations exercise every moving part: saturated
-round-robin cells (the vectorized round fast path), multi-cell
-handoffs, TCP sources, protocol-mode hint delivery, lifetime-policy
-scoring.
+airtime, over-the-air hint deliveries, the trained scorer and the
+recorded exchange log -- equals the reference
+:class:`~repro.network.NetworkSimulator`'s bit for bit.  The golden
+catalog configurations exercise every moving part: saturated
+round-robin cells (the round commit), multi-cell handoffs, TCP sources,
+protocol-mode hint delivery, lifetime-policy scoring.
 """
 
 from dataclasses import replace
@@ -20,10 +20,12 @@ import pytest
 from repro.network import (
     ApSpec,
     NetworkScenario,
+    NetworkSimulator,
     StationSpec,
     make_scenario,
     run_scenario,
 )
+from repro.network.batch import NetworkBatchEngine
 
 #: The golden catalog shapes (mirrors tests/test_network_golden.py).
 SCENARIO_CONFIGS = {
@@ -54,12 +56,14 @@ def assert_network_results_identical(ref, bat):
     assert ref.airtime_us == bat.airtime_us
     assert ref.hints_delivered == bat.hints_delivered
     assert ref.scorer.n_trained == bat.scorer.n_trained
+    assert ref.exchanges == bat.exchanges
 
 
 def both_engines(scenario: NetworkScenario):
+    """Both engines on ``scenario``, each recording its exchange log."""
     assert scenario.engine == "reference"
-    return (run_scenario(scenario),
-            run_scenario(replace(scenario, engine="batch")))
+    return (NetworkSimulator(scenario, record_exchanges=True).run(),
+            NetworkBatchEngine(scenario, record_exchanges=True).run())
 
 
 class TestGoldenCatalogEquality:
@@ -78,6 +82,21 @@ class TestGoldenCatalogEquality:
             association_policy="lifetime"))
         assert ref.handoff_count >= 1
         assert_network_results_identical(ref, bat)
+
+
+@pytest.fixture
+def round_log(monkeypatch):
+    """Whether each ``NetworkBatchEngine._commit_rounds`` call committed."""
+    log: list[bool] = []
+    original = NetworkBatchEngine._commit_rounds
+
+    def recording(self, *args):
+        rr = original(self, *args)
+        log.append(rr is not None)
+        return rr
+
+    monkeypatch.setattr(NetworkBatchEngine, "_commit_rounds", recording)
+    return log
 
 
 class TestEngineEdgeCases:
@@ -140,8 +159,8 @@ class TestEngineEdgeCases:
         assert_network_results_identical(ref, bat)
 
     def test_mixed_protocols_share_a_cell(self):
-        """Heterogeneous controllers in one contention domain ride the
-        composite adapter + scalar round loop."""
+        """Heterogeneous controllers in one contention domain share the
+        round commit, each stepping its own controller."""
         stations = tuple(
             StationSpec(name=f"s{i}", mobility="static",
                         start_xy=(float(2 * i), 0.0), protocol=proto)
@@ -154,6 +173,45 @@ class TestEngineEdgeCases:
             environment="office", duration_s=3.0, seed=GOLDEN_SEED,
         )
         assert_network_results_identical(*both_engines(scenario))
+
+    @pytest.mark.parametrize("protocols", [("CHARM", "RBAR"),
+                                           ("CHARM", "RapidSample")])
+    def test_snr_feedback_cell_commits_rounds(self, protocols, round_log):
+        """SNR-consuming controllers in a saturated cell: each station's
+        ``LinkProcess`` feeds its own SNR observations inside the round."""
+        stations = tuple(
+            StationSpec(name=f"s{i}", mobility="static",
+                        start_xy=(float(2 * i), 0.0),
+                        protocol=protocols[i % 2])
+            for i in range(6)
+        )
+        scenario = NetworkScenario(
+            name="snr-cell", stations=stations,
+            aps=(ApSpec(bssid="ap0", x_m=0.0, y_m=10.0),),
+            environment="office", duration_s=3.0, seed=GOLDEN_SEED,
+        )
+        assert_network_results_identical(*both_engines(scenario))
+        assert any(round_log)
+
+    def test_dense_cell_protocol_hints(self):
+        """Over-the-air hint delivery rides every committed exchange."""
+        scenario = make_scenario("dense_cell", seed=GOLDEN_SEED,
+                                 duration_s=4.0, n_stations=8,
+                                 hint_mode="protocol")
+        ref, bat = both_engines(scenario)
+        assert sum(ref.hints_delivered.values()) > 0
+        assert_network_results_identical(ref, bat)
+
+    def test_dense_cell_commits_rounds(self, round_log):
+        """The round commit really runs on a dense cell (bit identity
+        alone would also hold if every pick fell back to one exchange)."""
+        scenario = make_scenario("dense_cell", seed=GOLDEN_SEED,
+                                 duration_s=4.0, n_stations=8)
+        bat = NetworkBatchEngine(scenario, record_exchanges=True).run()
+        assert sum(round_log) >= 1
+        # Rounds stop only at scan barriers and trace ends, so they
+        # carry nearly every exchange of the replay.
+        assert len(bat.exchanges) > 10 * len(round_log)
 
     def test_dense_cell_with_tight_scans(self):
         """Frequent scan barriers slice the round fast path thin."""

@@ -17,9 +17,6 @@ so every hypothesis example is also a differential test of the batch
 scenario engine.
 """
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,6 +29,7 @@ from repro.network import (
     NetworkSimulator,
     StationSpec,
 )
+from test_network_batch import assert_network_results_identical, both_engines
 
 _SETTINGS = dict(
     max_examples=10,
@@ -134,18 +132,7 @@ class TestReplayInvariants:
     @given(scenario=scenarios())
     def test_batch_engine_differential(self, scenario):
         """Every drawn scenario doubles as a batch-engine oracle test."""
-        ref = NetworkSimulator(scenario).run()
-        bat_scenario = replace(scenario, engine="batch")
-        from repro.network import run_scenario
-
-        bat = run_scenario(bat_scenario)
-        for name, a in ref.stations.items():
-            b = bat.stations[name]
-            assert (a.delivered, a.dropped, a.attempts) == \
-                (b.delivered, b.dropped, b.attempts), name
-            assert np.array_equal(a.delivery_times_s, b.delivery_times_s)
-        assert ref.handoffs == bat.handoffs
-        assert ref.airtime_us == bat.airtime_us
+        assert_network_results_identical(*both_engines(scenario))
 
 
 def _event(lifetime_s: float) -> AssociationEvent:

@@ -1,6 +1,10 @@
 """802.11a timing arithmetic and traffic sources."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.mac import timing
 from repro.mac.traffic import TcpSource, UdpSource
@@ -106,3 +110,80 @@ class TestTcpSource:
         for i in range(10):
             src.on_dropped(float(i))
         assert src._rto_us <= 4000.0
+
+
+class _OrderCheckedTcp(TcpSource):
+    """A TcpSource that checks its ack queue stays in due-time order."""
+
+    deliveries = 0
+
+    def on_delivered(self, now_us: float) -> None:
+        super().on_delivered(now_us)
+        due = list(self._in_flight)
+        assert due == sorted(due), due
+        type(self).deliveries += 1
+
+
+_ACK_ORDER_SETTINGS = dict(
+    max_examples=8, deadline=None, print_blob=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestTcpAckQueueOrder:
+    """The ack queue is FIFO: the head is the earliest due ack, which is
+    what lets ``TcpSource`` reap from the head and wait on the head.
+    That holds only while every caller delivers in time order."""
+
+    @settings(**_ACK_ORDER_SETTINGS)
+    @given(seed=st.integers(min_value=0, max_value=400),
+           mode=st.sampled_from(["static", "mobile", "mixed"]),
+           protocol=st.sampled_from(["SampleRate", "RapidSample", "RRAA"]))
+    def test_link_process_delivers_in_order(self, seed, mode, protocol):
+        from repro.experiments.common import (
+            RATE_PROTOCOLS,
+            cached_hints,
+            cached_trace,
+        )
+        from repro.mac import LinkProcess, SimConfig
+
+        _OrderCheckedTcp.deliveries = 0
+        proc = LinkProcess(
+            cached_trace("office", mode, seed, 2.0),
+            RATE_PROTOCOLS[protocol](seed), _OrderCheckedTcp(),
+            cached_hints(mode, seed, 2.0), SimConfig(seed=seed))
+        result = proc.run_to_completion()
+        assert _OrderCheckedTcp.deliveries == result.delivered > 0
+
+    @settings(**_ACK_ORDER_SETTINGS)
+    @given(seed=st.integers(min_value=0, max_value=400),
+           engine=st.sampled_from(["reference", "batch"]),
+           n_tcp=st.integers(min_value=1, max_value=3),
+           two_cells=st.booleans())
+    def test_network_schedulers_deliver_in_order(self, seed, engine, n_tcp,
+                                                 two_cells):
+        from repro.network import (
+            ApSpec,
+            NetworkScenario,
+            StationSpec,
+            run_scenario,
+        )
+
+        stations = tuple(
+            StationSpec(name=f"s{i}", mobility="walk" if i % 2 else "static",
+                        start_xy=(float(30 * i), 0.0),
+                        traffic="tcp" if i < n_tcp else "udp")
+            for i in range(n_tcp + 1))
+        aps = (ApSpec(bssid="a", x_m=0.0, y_m=10.0),)
+        if two_cells:
+            aps += (ApSpec(bssid="b", x_m=60.0, y_m=10.0),)
+        scenario = NetworkScenario(
+            name="ack-order", stations=stations, aps=aps,
+            environment="office", duration_s=1.5, seed=seed,
+            scan_interval_s=0.5, engine=engine)
+        _OrderCheckedTcp.deliveries = 0
+        with mock.patch("repro.network.simulator.TcpSource",
+                        _OrderCheckedTcp):
+            result = run_scenario(scenario)
+        assert _OrderCheckedTcp.deliveries == sum(
+            result.station(f"s{i}").delivered for i in range(n_tcp)) > 0
