@@ -8,7 +8,9 @@ traffic, best-SampleRate)``, each group splits into chunks of at most
 :data:`BATCH_SIZE` tasks, and a chunk goes to batch only when its link
 count reaches the :data:`BATCH_BREAK_EVEN_LINKS` entry for its
 ``(protocol, tcp)``.  Everything else replays per task on the fast
-engine.  All engines are bit-identical, so the plan changes speed only.
+engine.  A scenario goes to the batch scenario engine when its
+structure lets that engine commit rounds.  All engines are
+bit-identical, so the plan changes speed only.
 """
 
 from __future__ import annotations
@@ -20,21 +22,11 @@ from .config import ConfigError
 __all__ = [
     "BATCH_BREAK_EVEN_LINKS",
     "BATCH_SIZE",
-    "NETWORK_BATCH_MIN_STATIONS",
     "LinkPlan",
     "link_count",
     "plan_link_tasks",
     "resolve_network_engine",
 ]
-
-#: ``engine="auto"`` scenarios with at least this many stations replay
-#: on the batch scenario engine (bit-identical).  Its round commit only
-#: pays in a saturated single cell, and pays more the more contenders
-#: each exchange would otherwise defer; TCP and multi-cell scenarios
-#: step exchange by exchange at reference speed either way.  The value
-#: itself is unmeasured: no break-even sweep over station counts backs
-#: it.
-NETWORK_BATCH_MIN_STATIONS = 8
 
 #: Most tasks one batch-engine call replays (a best-SampleRate task
 #: replays one link per candidate window, so a chunk may hold more
@@ -46,11 +38,11 @@ BATCH_SIZE = 64
 #: per-task fast replays in CPU time at both 2 s and 20 s trace lengths
 #: and in every mobility mode measured, keeping the larger width where
 #: they disagreed (the measurements are tabulated in the README's
-#: "Choosing an engine").  Pairs without an entry did not win within
-#: one :data:`BATCH_SIZE` chunk: RapidSample and HintAware under TCP,
-#: where the batch engine drives each row's scalar ``TcpSource``, and
-#: RRAA, RBAR and CHARM, which batch through the scalar
-#: ``LoopBatchAdapter``.  They always replay on ``fast`` under ``auto``.
+#: "Choosing an engine").  Pairs without an entry replay on ``fast``
+#: under ``auto``: RapidSample and HintAware under TCP did not win
+#: within one :data:`BATCH_SIZE` chunk (the batch engine drives each
+#: row's scalar ``TcpSource``), and RRAA, RBAR and CHARM have no array
+#: adapter, so they replay on ``fast`` even under ``engine="batch"``.
 BATCH_BREAK_EVEN_LINKS: dict[tuple[str, bool], int] = {
     ("RapidSample", False): 24,
     ("SampleRate", False): 24,
@@ -74,12 +66,13 @@ class LinkPlan:
     engines: tuple[str, ...]
 
 
-def resolve_network_engine(engine: str, n_stations: int) -> str:
+def resolve_network_engine(engine: str, scenario) -> str:
     """Scenario engine for one network task.
 
     ``fast`` has no network meaning, so it (like ``reference``) selects
-    the reference scheduler; ``auto`` picks the batch engine for dense
-    cells (:data:`NETWORK_BATCH_MIN_STATIONS`).  Results are
+    the reference scheduler; ``auto`` picks the batch engine where its
+    round commit pays -- one AP, every station UDP
+    (:func:`repro.network.batch.rounds_can_commit`).  Results are
     bit-identical either way -- only speed differs.
     """
     if engine == "batch":
@@ -87,9 +80,18 @@ def resolve_network_engine(engine: str, n_stations: int) -> str:
     if engine in ("fast", "reference"):
         return "reference"
     if engine == "auto":
-        return ("batch" if n_stations >= NETWORK_BATCH_MIN_STATIONS
-                else "reference")
+        from ..network.batch import rounds_can_commit
+
+        return "batch" if rounds_can_commit(scenario) else "reference"
     raise ConfigError(f"unknown engine {engine!r}")
+
+
+def _has_array_adapter(protocol: str) -> bool:
+    """Whether the protocol's controller class batches as an array
+    program (defines its own ``step_batch``)."""
+    from ..rate import RATE_PROTOCOLS
+
+    return "step_batch" in vars(type(RATE_PROTOCOLS[protocol](0)))
 
 
 def link_count(n_tasks: int, best_samplerate: bool) -> int:
@@ -106,7 +108,8 @@ def plan_link_tasks(keys: list, engine: str) -> LinkPlan:
     best_samplerate)``; tasks sharing a key may replay in one ragged
     batch.  ``engine`` is the session preference: ``fast``/``reference``
     force per-task replays, ``batch`` forces batch chunks (even of
-    one), and ``auto`` batches a chunk only at or above its
+    one) for every protocol with an array adapter and replays the rest
+    on ``fast``, and ``auto`` batches a chunk only at or above its
     :data:`BATCH_BREAK_EVEN_LINKS` width.
     """
     if engine in ("fast", "reference"):
@@ -123,9 +126,10 @@ def plan_link_tasks(keys: list, engine: str) -> LinkPlan:
     engines = ["batch"] * len(keys)
     for (protocol, tcp, best), members in groups.items():
         break_even = BATCH_BREAK_EVEN_LINKS.get((protocol, tcp))
+        forced = engine == "batch" and _has_array_adapter(protocol)
         for lo in range(0, len(members), BATCH_SIZE):
             chunk = tuple(members[lo:lo + BATCH_SIZE])
-            if engine == "batch" or (
+            if forced or (
                     break_even is not None
                     and link_count(len(chunk), best) >= break_even):
                 chunks.append(chunk)

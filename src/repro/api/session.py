@@ -9,9 +9,9 @@ preference -- and validates all of it eagerly (one
 spec: grid tasks are grouped by batchability and dispatched to the
 batch engine only where its measured break-even width says it is
 faster, else to the per-task fast engine (see :mod:`repro.api.planner`);
-network scenarios pick the batch scenario engine when the cell is dense
-enough to amortise it; and cold trace stores are pre-warmed one
-artefact per worker before any grid fans out.
+network scenarios pick the batch scenario engine when their structure
+(one AP, all stations UDP) lets its round commit fire; and cold trace
+stores are pre-warmed one artefact per worker before any grid fans out.
 
 Results do not depend on the plan: every engine runs the same
 controllers, traces and seeds, and the engines are pinned
@@ -56,8 +56,10 @@ class Session:
     ----------
     engine:
         ``"auto"`` (default: plan per workload), or force ``"fast"`` /
-        ``"reference"`` / ``"batch"`` everywhere.  All engines are
-        bit-identical; the choice is purely about speed.
+        ``"reference"`` / ``"batch"`` everywhere.  Forced ``"batch"``
+        replays protocols without an array adapter (RRAA, RBAR, CHARM)
+        on ``"fast"``, and ``RunResult.task_engines`` says so.  All
+        engines are bit-identical; the choice is purely about speed.
     jobs:
         Worker processes for fan-outs.  ``None`` reads ``REPRO_JOBS``
         (malformed values raise :class:`ConfigError`); 1 runs serial
@@ -232,14 +234,17 @@ class Session:
     # Network planning
     # ------------------------------------------------------------------
     def _plan_network(self, spec: NetworkRunSpec) -> NetworkTask:
+        """Resolve the seed and pick the scenario engine: under ``auto``
+        the batch engine when the scenario has one AP and only UDP
+        stations, where its round commit fires."""
         seed = spec.seed
         if seed is None:
             seed = self.derive("network_run", spec.scenario, spec.policy,
                                spec.duration_s, spec.overrides)
         # Build once (cheap: scenarios are frozen configs, no traces)
-        # to learn the cell size the auto heuristic needs.
+        # to learn the AP count and traffic the auto rule needs.
         scenario = spec.build_scenario(seed, engine="reference")
-        engine = resolve_network_engine(self.engine, scenario.n_stations)
+        engine = resolve_network_engine(self.engine, scenario)
         return NetworkTask(scenario=spec.scenario, seed=seed,
                            policy=spec.policy, duration_s=spec.duration_s,
                            overrides=spec.overrides, engine=engine)

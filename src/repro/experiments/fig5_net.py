@@ -8,7 +8,8 @@ counts and mean association lifetimes -- the network-scale counterpart
 of the per-figure drivers.  The session warms station traces and hint
 series into the on-disk store one artefact per worker, then fans the
 replays out; ``engine="auto"`` picks the batch scenario engine for
-dense cells (bit-identical results either way).
+single-cell all-UDP scenarios such as ``dense_cell`` (bit-identical
+results either way).
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ controller and seed.  :class:`BatchLinkEngine` holds the state of B such
 links as structure-of-arrays (per-link integer-microsecond clock, retry
 counter, hint cursor, RNG buffer cursors) and advances all of them one
 frame-exchange attempt per step with NumPy, consulting the links'
-controllers through a :class:`~repro.rate.base.BatchRateAdapter`
-(vectorized for fixed-rate/RapidSample/hint-aware, a per-controller loop
-for everything else).
+controllers through a :class:`~repro.rate.base.BatchRateAdapter` --
+the array adapter that fixed-rate, RapidSample, SampleRate and the
+hint-aware switch provide.  Controllers without one (RRAA, RBAR, CHARM,
+custom classes) are not batched: :func:`run_batch` replays them on the
+fast engine.
 
 Bit identity
 ------------
@@ -25,9 +27,9 @@ and the differential fuzz suite in ``tests/test_engine_equivalence.py``):
 * hint-edge comparisons are precomputed into *integer-microsecond*
   thresholds that fire at exactly the clock tick where the fast
   engine's float comparison flips;
-* the SNR-observation stream is skipped entirely when the adapter
-  reports the controllers ignore SNR -- the draws would be unobservable,
-  so results are unchanged.
+* no adapted controller reads SNR, so the engine never draws the
+  SNR-observation stream -- those draws would be unobservable, and the
+  stream is independent of the others, so results are unchanged.
 
 Success-run cruise
 ------------------
@@ -44,7 +46,8 @@ batch retires several attempts per NumPy step instead of one.
 Use :func:`run_batch` (or ``SimConfig(engine="batch")`` for a batch of
 one); it partitions arbitrary spec lists into engine-compatible groups
 and falls back to the fast engine for specs the array program cannot
-express (e.g. fractional airtimes from exotic payload sizes).
+express (controllers without an array adapter, fractional airtimes from
+exotic payload sizes).
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from ..core.architecture import HintSeries
 from . import timing
 from .simulator import (
     _RNG_BLOCK,
+    LinkProcess,
     SimConfig,
     SimResult,
     _airtime_tables,
@@ -159,21 +163,37 @@ def _integral_timing(payload_bytes: int) -> bool:
     return all(isinstance(v, int) for v in ok_us + fail_us + [slot_time_us])
 
 
+class _NoArrayAdapter(ValueError):
+    """A batch whose controllers have no array adapter."""
+
+
 class BatchLinkEngine:
     """Replay B links in lockstep.  Build via :func:`run_batch`.
 
-    All specs must share the config *flags* (backoff on/off, SNR
-    feedback, noise/calibration/floor-loss zero vs nonzero, ladder
-    enabled); scalar knob values, traces, seeds, durations and
-    controller classes may differ per link (mixed classes ride a
-    :class:`~repro.rate.base.CompositeBatchAdapter`, without cruise).
-    :func:`run_batch` partitions arbitrary spec lists into such groups.
+    All specs must share the config *flags* (backoff on/off, floor-loss
+    zero vs nonzero, ladder enabled); scalar knob values, traces, seeds,
+    durations and controller classes may differ per link (mixed classes
+    ride a :class:`~repro.rate.base.CompositeBatchAdapter`, without
+    cruise).  Every controller class needs an array adapter of its own;
+    a batch without one raises :class:`ValueError`.  :func:`run_batch`
+    partitions arbitrary spec lists into such groups and replays the
+    rest on the fast engine.
     """
 
     def __init__(self, specs: Sequence[BatchLinkSpec]) -> None:
         from ..rate.base import make_batch_adapter
 
         specs = [s.resolved() for s in specs]
+        adapter = make_batch_adapter([s.controller for s in specs])
+        if adapter is None:
+            raise _NoArrayAdapter(
+                "no array adapter for controller classes "
+                f"{sorted({type(s.controller).__name__ for s in specs})}; "
+                "replay these links with run_batch, which falls back to "
+                "the fast engine"
+            )
+        self._adapter = adapter
+        self._needs_time = adapter.needs_choose_time
         n = len(specs)
         self._n = n
         cfgs = [s.config for s in specs]
@@ -181,37 +201,22 @@ class BatchLinkEngine:
 
         # --- uniform flags (enforced by run_batch's partitioning) -----
         self._use_backoff = bool(cfg0.use_backoff)
-        self._snr_feedback = bool(cfg0.snr_feedback)
-        self._noise_on = cfg0.snr_obs_noise_db > 0
         self._floor_on = cfg0.floor_loss_prob > 0
         self._ladder_on = cfg0.retry_ladder_after > 0
-
-        # --- adapter ---------------------------------------------------
-        self._adapter = make_batch_adapter([s.controller for s in specs])
-        self._uses_snr = bool(self._adapter.uses_snr)
-        self._observe = self._snr_feedback and self._uses_snr
-        self._needs_time = bool(getattr(self._adapter, "needs_choose_time", True))
 
         # --- per-link RNG streams (keyed by each link's seed) ----------
         self._bk_rng = []
         self._fl_rng = []
-        self._nz_rng = []
-        bias = np.zeros(n)
-        for i, cfg in enumerate(cfgs):
-            bias_rng, snr_rng, backoff_rng, floor_rng = _rng_streams(cfg.seed)
+        for cfg in cfgs:
+            _, _, backoff_rng, floor_rng = _rng_streams(cfg.seed)
             self._bk_rng.append(backoff_rng)
             self._fl_rng.append(floor_rng)
-            self._nz_rng.append(snr_rng)
-            if cfg.snr_calibration_error_db > 0:
-                bias[i] = bias_rng.standard_normal() * cfg.snr_calibration_error_db
-        self._bias = bias
 
-        def fill(rngs, normal=False):
+        def fill(rngs):
             buf = np.empty((n, _W))
             for i, rng in enumerate(rngs):
-                draw = rng.standard_normal if normal else rng.random
                 for start in range(0, _W, _RNG_BLOCK):
-                    buf[i, start:start + _RNG_BLOCK] = draw(_RNG_BLOCK)
+                    buf[i, start:start + _RNG_BLOCK] = rng.random(_RNG_BLOCK)
             return buf.reshape(-1)
 
         if self._use_backoff:
@@ -220,9 +225,6 @@ class BatchLinkEngine:
         if self._floor_on:
             self._fl_flat = fill(self._fl_rng)
             self._fl_pos = np.zeros(n, dtype=np.int64)
-        if self._observe and self._noise_on:
-            self._nz_flat = fill(self._nz_rng, normal=True)
-            self._nz_pos = np.zeros(n, dtype=np.int64)
 
         # --- traces, flattened ----------------------------------------
         traces = [s.trace for s in specs]
@@ -237,11 +239,6 @@ class BatchLinkEngine:
                                    dtype=np.int64)
         self._dur = np.array([t.duration_s * 1e6 for t in traces])
         self._durations_s = [t.duration_s for t in traces]
-        if self._observe:
-            self._snr_flat = np.concatenate([t.snr_db for t in traces])
-            nslots = np.array([t.n_slots for t in traces], dtype=np.int64)
-            self._snr_off = np.concatenate([[0], np.cumsum(nslots)[:-1]])
-            self._noise_db = np.array([c.snr_obs_noise_db for c in cfgs])
 
         # --- per-rate timing tables (whole µs; validated upstream) -----
         at = np.empty((n, 2 * N_RATES), dtype=np.int64)
@@ -313,9 +310,7 @@ class BatchLinkEngine:
         self._refill_cd = 0
 
         # --- cruise gating --------------------------------------------
-        cruise = getattr(self._adapter, "cruise", None)
-        self._cruise = cruise if (cruise is not None and not self._uses_snr) \
-            else None
+        self._cruise = adapter.cruise
         self._commit_failures = bool(
             self._cruise is not None and n
             and int(self._retry_limit.min()) >= 1
@@ -339,14 +334,11 @@ class BatchLinkEngine:
     def _compact(self, keep: np.ndarray) -> None:
         """Drop dead rows from every per-row array and list."""
         for name in ("_t", "_retries", "_serving", "_is_udp", "_dur",
-                     "_slot_s", "_last_slot", "_fate_off", "_bias",
+                     "_slot_s", "_last_slot", "_fate_off",
                      "_retry_limit", "_ladder", "_floor_p", "_live_ids",
                      "_hint_ptr", "_hint_end", "_next_hint",
                      "_hint_present", "_hint_cur", "_last_hint"):
             setattr(self, name, getattr(self, name)[keep])
-        if self._observe:
-            self._snr_off = self._snr_off[keep]
-            self._noise_db = self._noise_db[keep]
         if self._use_backoff:
             self._bk_flat = self._bk_flat.reshape(-1, _W)[keep].reshape(-1)
             self._bk_pos = self._bk_pos[keep]
@@ -355,10 +347,6 @@ class BatchLinkEngine:
             self._fl_flat = self._fl_flat.reshape(-1, _W)[keep].reshape(-1)
             self._fl_pos = self._fl_pos[keep]
             self._fl_rng = [self._fl_rng[int(k)] for k in keep]
-        if self._observe and self._noise_on:
-            self._nz_flat = self._nz_flat.reshape(-1, _W)[keep].reshape(-1)
-            self._nz_pos = self._nz_pos[keep]
-            self._nz_rng = [self._nz_rng[int(k)] for k in keep]
         at = self._at_flat.reshape(-1, 2 * N_RATES)[keep]
         self._at_flat = at.reshape(-1)
         self._traffic = [self._traffic[int(k)] for k in keep]
@@ -385,12 +373,10 @@ class BatchLinkEngine:
         """
         streams = []
         if self._use_backoff:
-            streams.append(("_bk_flat", "_bk_pos", self._bk_rng, False))
+            streams.append(("_bk_flat", "_bk_pos", self._bk_rng))
         if self._floor_on:
-            streams.append(("_fl_flat", "_fl_pos", self._fl_rng, False))
-        if self._observe and self._noise_on:
-            streams.append(("_nz_flat", "_nz_pos", self._nz_rng, True))
-        for flat_name, pos_name, rngs, normal in streams:
+            streams.append(("_fl_flat", "_fl_pos", self._fl_rng))
+        for flat_name, pos_name, rngs in streams:
             pos = getattr(self, pos_name)
             hit = pos >= _RNG_BLOCK
             if hit.any():
@@ -400,10 +386,9 @@ class BatchLinkEngine:
                     shift = (int(pos[i]) // _RNG_BLOCK) * _RNG_BLOCK
                     row = flat[i]
                     row[:_W - shift] = row[shift:]
-                    draw = (rngs[i].standard_normal if normal
-                            else rngs[i].random)
                     for start in range(_W - shift, _W, _RNG_BLOCK):
-                        row[start:start + _RNG_BLOCK] = draw(_RNG_BLOCK)
+                        row[start:start + _RNG_BLOCK] = \
+                            rngs[i].random(_RNG_BLOCK)
                     pos[i] -= shift
         self._refill_cd = _REFILL_CD
 
@@ -577,7 +562,7 @@ class BatchLinkEngine:
         t0 = self._t if dense else self._t[att]
         # Vectorized adapters that ignore attempt-start times let the
         # engine skip computing them (they only see post-attempt times).
-        now_ms = t0 / 1e3 if (self._needs_time or self._observe) else None
+        now_ms = t0 / 1e3 if self._needs_time else None
 
         if self._any_hints:
             m = self._next_hint <= self._t if dense \
@@ -591,29 +576,6 @@ class BatchLinkEngine:
                     self._unprimed = bool(
                         (self._hint_present & (self._last_hint == -1)).any()
                     )
-
-        if self._observe:
-            now_s = t0 / 1e6
-            pst = now_s - (self._slot_s if dense else self._slot_s[att])
-            np.maximum(pst, 0.0, out=pst)
-            sl = (pst / (self._slot_s if dense else self._slot_s[att])) \
-                .astype(np.int64)
-            np.minimum(sl, self._last_slot if dense else self._last_slot[att],
-                       out=sl)
-            obs = self._snr_flat[
-                (self._snr_off if dense else self._snr_off[att]) + sl
-            ] + (self._bias if dense else self._bias[att])
-            if self._noise_on:
-                pos = self._nz_pos if dense else self._nz_pos[att]
-                z = self._nz_flat[(self._rowW if dense else self._rowW[att])
-                                  + pos]
-                if dense:
-                    self._nz_pos += 1
-                else:
-                    self._nz_pos[att] += 1
-                obs = obs + (self._noise_db if dense
-                             else self._noise_db[att]) * z
-            self._adapter.observe_snr_batch(att, obs, now_ms)
 
         rate = self._adapter.choose_rate_batch(att, now_ms)
         retries = self._retries if dense else self._retries[att]
@@ -838,9 +800,6 @@ def _partition_key(spec: BatchLinkSpec):
     return (
         type(spec.controller),
         cfg.use_backoff,
-        cfg.snr_feedback,
-        cfg.snr_obs_noise_db > 0,
-        cfg.snr_calibration_error_db > 0,
         cfg.floor_loss_prob > 0,
         cfg.retry_ladder_after > 0,
     )
@@ -851,26 +810,33 @@ def run_batch(specs: Sequence[BatchLinkSpec]) -> list[SimResult]:
 
     Specs are partitioned into engine-compatible groups (same controller
     class and config flags); each group runs as one lockstep batch.
-    Specs the array program cannot express (non-integral airtimes from a
-    custom payload) fall back to the fast engine individually.  Either
-    way every link's result is bit-identical to a standalone replay.
+    Specs the array program cannot express -- a group without an array
+    adapter (RRAA, RBAR, CHARM, custom controllers) or non-integral
+    airtimes from a custom payload -- replay on the fast engine
+    individually.  Either way every link's result is bit-identical to a
+    standalone replay.
     """
     specs = [s.resolved() for s in specs]
     results: list[SimResult | None] = [None] * len(specs)
     groups: dict[tuple, list[int]] = {}
+    scalar: list[int] = []
     for i, spec in enumerate(specs):
-        if not _integral_timing(spec.config.payload_bytes):
-            from .simulator import LinkSimulator
-            cfg = replace(spec.config, engine="fast")
-            results[i] = LinkSimulator(
-                spec.trace, spec.controller, spec.traffic,
-                spec.hint_series, cfg,
-            ).run()
-            continue
-        groups.setdefault(_partition_key(spec), []).append(i)
+        if _integral_timing(spec.config.payload_bytes):
+            groups.setdefault(_partition_key(spec), []).append(i)
+        else:
+            scalar.append(i)
     for members in groups.values():
-        for res, i in zip(
-            BatchLinkEngine([specs[i] for i in members]).run(), members
-        ):
+        try:
+            engine = BatchLinkEngine([specs[i] for i in members])
+        except _NoArrayAdapter:
+            scalar += members
+            continue
+        for res, i in zip(engine.run(), members):
             results[i] = res
+    for i in scalar:
+        spec = specs[i]
+        results[i] = LinkProcess(
+            spec.trace, spec.controller, spec.traffic, spec.hint_series,
+            spec.config,
+        ).run_to_completion()
     return results  # type: ignore[return-value]

@@ -34,9 +34,9 @@ by ``SimConfig(engine=...)``:
 * ``"batch"`` -- the :mod:`repro.mac.batch` array program that replays
   many links in lockstep (here, a batch of one).  Its reason to exist is
   grid executors -- :class:`repro.api.Session` plans wide enough grid
-  groups onto it (``engine="auto"``) or forces every group onto it
-  (``engine="batch"``); per-link results are bit-identical to the other
-  engines.
+  groups onto it (``engine="auto"``) or forces every group with an
+  array adapter onto it (``engine="batch"``); per-link results are
+  bit-identical to the other engines.
 
 Randomness is split into four independent streams spawned from
 ``SeedSequence(config.seed)`` -- calibration bias, SNR observation noise,

@@ -4,7 +4,6 @@ fixed-rate and oracle baselines."""
 
 from .base import (
     BatchRateAdapter,
-    LoopBatchAdapter,
     RateController,
     make_batch_adapter,
 )
@@ -33,7 +32,6 @@ RATE_PROTOCOLS = {
 __all__ = [
     "RateController",
     "BatchRateAdapter",
-    "LoopBatchAdapter",
     "make_batch_adapter",
     "RapidSample",
     "SampleRate",

@@ -20,12 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from ..channel.rates import N_RATES
-from ..core.hints import Hint, MovementHint
+from ..core.hints import Hint
 
 __all__ = [
     "RateController",
     "BatchRateAdapter",
-    "LoopBatchAdapter",
     "CompositeBatchAdapter",
     "CruiseView",
     "make_batch_adapter",
@@ -67,26 +66,30 @@ class RateController(ABC):
             )
 
     @classmethod
-    def step_batch(cls, controllers: Sequence["RateController"]) -> "BatchRateAdapter":
+    def step_batch(
+        cls, controllers: Sequence["RateController"]
+    ) -> "BatchRateAdapter | None":
         """Build a lockstep driver for a batch of controllers of this class.
 
         The batch replay engine (:mod:`repro.mac.batch`) steps B links at
         once; instead of calling each controller's per-attempt methods in
         a Python loop, it asks the controller class for a
         :class:`BatchRateAdapter` that applies the same updates to all B
-        links as array programs.  The base implementation returns the
-        always-correct :class:`LoopBatchAdapter`; protocols with NumPy
-        implementations (fixed-rate, RapidSample, the hint-aware switch)
-        override this.  Either way the adapter is *bit-identical* to
-        driving the controllers one by one.
+        links as array programs, *bit-identical* to driving the
+        controllers one by one.  Protocols with NumPy implementations
+        (fixed-rate, RapidSample, SampleRate, the hint-aware switch)
+        override this.  ``None`` means "no array adapter": the base
+        class returns it, and so does an override handed a batch it
+        cannot express; :func:`repro.mac.batch.run_batch` then replays
+        those links on the fast engine.
         """
-        return LoopBatchAdapter(controllers)
+        return None
 
 
 class BatchRateAdapter:
     """Lockstep driver for B rate controllers (one per batched link).
 
-    The batch engine calls the four per-attempt hooks with arrays instead
+    The batch engine calls the three per-attempt hooks with arrays instead
     of scalars.  ``rows`` selects which links an array call refers to:
     ``None`` means "all live links, in row order", otherwise an int index
     array; the value arrays are aligned with the selected rows.  Row
@@ -94,18 +97,15 @@ class BatchRateAdapter:
     :meth:`retire` (write state back into the wrapped controller objects)
     and then :meth:`compact` with the surviving row indices.
 
-    ``uses_snr`` tells the engine whether :meth:`observe_snr_batch` can
-    have any effect; when ``False`` the engine skips the SNR observation
-    entirely (the draws it would feed are unobservable, so results are
-    unchanged).  ``cruise`` is ``None`` or a :class:`CruiseView` enabling
-    the engine's vectorized success-run fast path.
+    ``cruise`` is ``None`` or a :class:`CruiseView` enabling the
+    engine's vectorized success-run fast path.  There is no SNR hook:
+    only RBAR and CHARM read SNR, and they have no array adapter.
 
     Only the grid engine (:mod:`repro.mac.batch`) drives adapters; the
     scalar engines, network scenario engines included, call the
     controller objects directly.
     """
 
-    uses_snr: bool = True
     cruise: "CruiseView | None" = None
     #: Whether :meth:`choose_rate_batch`/:meth:`on_hint_batch` read their
     #: time arguments; vectorized adapters that ignore them let the
@@ -124,9 +124,6 @@ class BatchRateAdapter:
 
     def on_hint_batch(self, rows, moving: np.ndarray, time_s: np.ndarray) -> None:
         """Movement-hint transitions for the selected links."""
-
-    def observe_snr_batch(self, rows, snr_db: np.ndarray, now_ms: np.ndarray) -> None:
-        """Receiver-SNR feedback for the selected links."""
 
     def choose_rate_batch(self, rows, now_ms: np.ndarray) -> np.ndarray:
         """Rate indices for the attempts starting now (int64 array).
@@ -150,117 +147,34 @@ class BatchRateAdapter:
         self.controllers = [self.controllers[int(k)] for k in keep]
 
 
-class LoopBatchAdapter(BatchRateAdapter):
-    """The universal fallback: drive each controller with a Python loop.
-
-    Correct for *any* controller (including user-defined ones and
-    protocols with internal RNGs -- each controller's own stream is
-    consumed exactly as in the single-link engines), at single-link
-    speed per attempt.  The per-pass overhead is trimmed where it does
-    not change semantics: bound methods are hoisted once per batch
-    (rebuilt on compaction) and NumPy value arrays are converted with
-    ``tolist`` so the hot loops touch plain Python scalars.
-    """
-
-    def __init__(self, controllers: Sequence[RateController]) -> None:
-        super().__init__(controllers)
-        base = RateController.observe_snr
-        self.uses_snr = any(
-            getattr(type(c), "observe_snr", base) is not base
-            for c in controllers
-        )
-        self._rebind()
-
-    def _rebind(self) -> None:
-        cs = self.controllers
-        self._on_hint = [c.on_hint for c in cs]
-        self._observe = [c.observe_snr for c in cs]
-        self._choose = [c.choose_rate for c in cs]
-        self._on_result = [c.on_result for c in cs]
-
-    def on_hint_batch(self, rows, moving, time_s) -> None:
-        hint = self._on_hint
-        for i, mv, ts in zip(self._rows(rows), moving.tolist(),
-                             time_s.tolist()):
-            hint[i](MovementHint(time_s=ts, moving=mv))
-
-    def observe_snr_batch(self, rows, snr_db, now_ms) -> None:
-        observe = self._observe
-        for i, snr, now in zip(self._rows(rows), snr_db.tolist(),
-                               now_ms.tolist()):
-            observe[i](snr, now)
-
-    def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
-        choose = self._choose
-        sel = self._rows(rows)
-        out = [0] * len(sel)
-        for j, (i, now) in enumerate(zip(sel, now_ms.tolist())):
-            rate = int(choose[i](now))
-            if not 0 <= rate < N_RATES:
-                raise ValueError(f"controller chose invalid rate {rate}")
-            out[j] = rate
-        return np.array(out, dtype=np.int64)
-
-    def on_result_batch(self, rows, rates, successes, now_ms) -> None:
-        on_result = self._on_result
-        for i, rate, ok, now in zip(self._rows(rows), rates.tolist(),
-                                    successes.tolist(), now_ms.tolist()):
-            on_result[i](rate, ok, now)
-
-    def compact(self, keep) -> None:
-        super().compact(keep)
-        self._rebind()
-
-
 class CompositeBatchAdapter(BatchRateAdapter):
-    """Partition a heterogeneous batch into per-class sub-adapters.
+    """Drive a heterogeneous batch through per-class array adapters.
 
-    Mixed-protocol batches (a spec list with several controller
-    classes) used to fall back to the all-Python loop for *every* link;
-    here each controller class drives its own rows through its own
-    vectorized adapter (or the loop fallback, per class), with row
-    indexes mapped through per-group index arrays.  Results are
-    bit-identical to driving the controllers one by one -- each
-    sub-adapter already guarantees that for its class and the groups
-    touch disjoint rows.  No cruise view is exposed:
-    cruise tableaux need one homogeneous ``current()`` array, and the
-    engines that want cruise keep partitioning by class upstream.
+    :func:`make_batch_adapter` builds one when a batch mixes controller
+    classes that each have an array adapter: each class drives its own
+    rows, with row indexes mapped through per-group index arrays.
+    Results are bit-identical to driving the controllers one by one --
+    each sub-adapter already guarantees that for its class and the
+    groups touch disjoint rows.  No cruise view is exposed: cruise
+    tableaux need one homogeneous ``current()`` array, and
+    :func:`repro.mac.batch.run_batch` partitions by class upstream.
     """
 
-    def __init__(self, controllers: Sequence[RateController]) -> None:
+    def __init__(self, controllers: Sequence[RateController],
+                 subs: Sequence[tuple[BatchRateAdapter, list[int]]]) -> None:
         super().__init__(controllers)
-        slots: dict[type, int] = {}
-        members: list[list[int]] = []
-        classes: list[type] = []
-        for i, c in enumerate(controllers):
-            cls = type(c)
-            slot = slots.get(cls)
-            if slot is None:
-                slot = slots[cls] = len(members)
-                members.append([])
-                classes.append(cls)
-            members[slot].append(i)
         self._subs: list[BatchRateAdapter] = []
         self._rows_of: list[np.ndarray] = []
         n = len(controllers)
         self._group_of = np.empty(n, dtype=np.int64)
         self._local_of = np.empty(n, dtype=np.int64)
-        for cls, group in zip(classes, members):
-            step = cls.__dict__.get("step_batch")
-            sub_controllers = [controllers[i] for i in group]
-            if step is not None:
-                sub = step.__get__(None, cls)(sub_controllers)
-            else:
-                sub = LoopBatchAdapter(sub_controllers)
+        for slot, (sub, group) in enumerate(subs):
             rows = np.array(group, dtype=np.int64)
             self._subs.append(sub)
             self._rows_of.append(rows)
-            self._group_of[rows] = len(self._subs) - 1
+            self._group_of[rows] = slot
             self._local_of[rows] = np.arange(len(rows))
-        self.uses_snr = any(s.uses_snr for s in self._subs)
-        self.needs_choose_time = any(
-            getattr(s, "needs_choose_time", True) for s in self._subs
-        )
+        self.needs_choose_time = any(s.needs_choose_time for s in self._subs)
 
     def _split(self, rows):
         """Yield ``(sub, local_rows, positions)`` per touched group.
@@ -283,10 +197,6 @@ class CompositeBatchAdapter(BatchRateAdapter):
     def on_hint_batch(self, rows, moving, time_s) -> None:
         for sub, local, pos in self._split(rows):
             sub.on_hint_batch(local, moving[pos], time_s[pos])
-
-    def observe_snr_batch(self, rows, snr_db, now_ms) -> None:
-        for sub, local, pos in self._split(rows):
-            sub.observe_snr_batch(local, snr_db[pos], now_ms[pos])
 
     def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
         n = len(self.controllers) if rows is None else len(rows)
@@ -361,25 +271,31 @@ class CruiseView:
         raise NotImplementedError
 
 
-def make_batch_adapter(controllers: Sequence[RateController]) -> BatchRateAdapter:
-    """Adapter for a batch: the class's vectorized one if homogeneous.
+def make_batch_adapter(
+    controllers: Sequence[RateController],
+) -> BatchRateAdapter | None:
+    """The batch's array adapter, or ``None`` when it has none.
 
-    Heterogeneous batches (mixed controller classes) are partitioned by
-    class through :class:`CompositeBatchAdapter`, each class driving its
-    rows with its own vectorized adapter; homogeneous ones get whatever
-    ``cls.step_batch`` builds, which may itself fall back for
-    unsupported configurations.  The class must define ``step_batch``
-    *itself*: a subclass that merely inherits a parent's vectorized
-    adapter may have overridden the scalar hooks the adapter
-    replicates, so it takes the always-correct loop instead of silently
-    replaying the parent's semantics.
+    Controllers are grouped by class, and each class must define
+    ``step_batch`` *itself*: a subclass that merely inherits a parent's
+    array adapter may have overridden the scalar hooks the adapter
+    replicates, so it has none rather than silently replaying the
+    parent's semantics.  A homogeneous batch gets whatever its class's
+    ``step_batch`` builds; a heterogeneous one gets a
+    :class:`CompositeBatchAdapter` over its classes' adapters.  Either
+    way one class without an adapter leaves the whole batch without.
     """
-    if not controllers:
-        return LoopBatchAdapter([])
-    cls = type(controllers[0])
-    if all(type(c) is cls for c in controllers):
+    groups: dict[type, list[int]] = {}
+    for i, c in enumerate(controllers):
+        groups.setdefault(type(c), []).append(i)
+    subs: list[tuple[BatchRateAdapter, list[int]]] = []
+    for cls, rows in groups.items():
         step = cls.__dict__.get("step_batch")
-        if step is not None:
-            return step.__get__(None, cls)(controllers)
-        return LoopBatchAdapter(controllers)
-    return CompositeBatchAdapter(controllers)
+        sub = None if step is None else \
+            step.__get__(None, cls)([controllers[i] for i in rows])
+        if sub is None:
+            return None
+        subs.append((sub, rows))
+    if len(subs) == 1:
+        return subs[0][0]
+    return CompositeBatchAdapter(controllers, subs)

@@ -62,7 +62,6 @@ class _FixedCruise(CruiseView):
 class _FixedBatchAdapter(BatchRateAdapter):
     """NumPy lockstep driver for B fixed-rate controllers (stateless)."""
 
-    uses_snr = False
     needs_choose_time = False
 
     def __init__(self, controllers: Sequence[RateController]) -> None:

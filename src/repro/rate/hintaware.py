@@ -28,7 +28,7 @@ import numpy as np
 
 from ..channel.rates import N_RATES
 from ..core.hints import Hint, MovementHint
-from .base import BatchRateAdapter, LoopBatchAdapter, RateController
+from .base import BatchRateAdapter, RateController
 from .rapidsample import RapidSample, RapidSampleSoA, _RapidCruise
 from .samplerate import SampleRate, SampleRateSoA
 
@@ -101,54 +101,39 @@ class HintAwareRateController(RateController):
         self.switch_count = 0
 
     @classmethod
-    def step_batch(cls, controllers: Sequence[RateController]) -> BatchRateAdapter:
-        ctrls = list(controllers)
-        vectorizable = all(
-            type(c._mobile) is RapidSample
-            and c._mobile.n_rates == c.n_rates
-            for c in ctrls
-        ) and len({c.n_rates for c in ctrls}) <= 1
-        if not vectorizable:
-            # Custom mobile protocols keep full generality via the loop.
-            return LoopBatchAdapter(ctrls)
-        return _HintAwareBatchAdapter(ctrls)
+    def step_batch(
+        cls, controllers: Sequence[RateController]
+    ) -> BatchRateAdapter | None:
+        # Array sides exist for the default pairing only; custom sides
+        # (or mixed rate counts) have no array adapter.
+        if len({c.n_rates for c in controllers}) > 1 or not all(
+            type(c._mobile) is RapidSample and type(c._static) is SampleRate
+            and c._mobile.n_rates == c._static.n_rates == c.n_rates
+            for c in controllers
+        ):
+            return None
+        return _HintAwareBatchAdapter(controllers)
 
 
 class _HintAwareBatchAdapter(BatchRateAdapter):
-    """Lockstep driver for B hint-aware controllers.
+    """Lockstep driver for B hint-aware RapidSample/SampleRate switches.
 
-    The mobile side (RapidSample) runs as a shared SoA -- mobile-mode
+    The mobile side runs as a shared
+    :class:`~repro.rate.rapidsample.RapidSampleSoA` -- mobile-mode
     attempts, which dominate exactly when rate decisions are cheapest to
-    vectorize, are array programs and cruise-eligible.  The static side
-    runs as a :class:`~repro.rate.samplerate.SampleRateSoA` whenever
-    every static controller is a plain SampleRate (the default), so
-    static-mode attempts are array programs too; custom static
-    controllers keep the per-instance loop (bit-identical to the
-    single-link engines either way).  Hint switches are rare and handled
-    per link, replicating :meth:`HintAwareRateController.on_hint`
-    exactly.
+    vectorize, are array programs and cruise-eligible -- and the static
+    side as a :class:`~repro.rate.samplerate.SampleRateSoA`.  Hint
+    switches are rare and handled per link, replicating
+    :meth:`HintAwareRateController.on_hint` exactly (bit-identical to
+    the single-link engines).
     """
 
     def __init__(self, controllers: Sequence[HintAwareRateController]) -> None:
         super().__init__(controllers)
         self.soa = RapidSampleSoA([c._mobile for c in controllers])
-        self.statics = [c._static for c in controllers]
+        self.static_soa = SampleRateSoA([c._static for c in controllers])
         self.moving = np.array([c._moving for c in controllers], dtype=bool)
         self._reset_on_switch = [bool(c._reset_on_switch) for c in controllers]
-        if controllers and all(
-            type(s) is SampleRate and s.n_rates == controllers[0].n_rates
-            for s in self.statics
-        ):
-            self.static_soa: SampleRateSoA | None = SampleRateSoA(self.statics)
-        else:
-            self.static_soa = None
-        base = RateController.observe_snr
-        # observe_snr delegates to the active side; RapidSample ignores
-        # it, so only an overriding static controller makes SNR matter.
-        self.uses_snr = any(
-            getattr(type(s), "observe_snr", base) is not base
-            for s in self.statics
-        )
         self.cruise = _RapidCruise(self.soa, moving=self.moving)
 
     def on_hint_batch(self, rows, moving, time_s) -> None:
@@ -157,50 +142,27 @@ class _HintAwareBatchAdapter(BatchRateAdapter):
             if mv == self.moving[i]:
                 continue
             # Outgoing side's operating point seeds the incoming side.
-            if self.moving[i]:
-                seed_rate = int(self.soa.current[i])
-            elif self.static_soa is not None:
-                seed_rate = int(self.static_soa.current[i])
-            else:
-                seed_rate = getattr(self.statics[i], "current_rate", None)
-            self.moving[i] = mv
-            self.controllers[i].switch_count += 1
             if mv:
+                seed_rate = int(self.static_soa.current[i])
                 if self._reset_on_switch[i]:
                     self.soa.reset_row(i)
-                if seed_rate is not None:
-                    self.soa.current[i] = int(seed_rate)
-            elif seed_rate is not None:
-                if self.static_soa is not None:
-                    self.static_soa.current[i] = int(seed_rate)
-                elif hasattr(self.statics[i], "_current"):
-                    self.statics[i]._current = int(seed_rate)
-
-    def observe_snr_batch(self, rows, snr_db, now_ms) -> None:
-        for j, i in enumerate(self._rows(rows)):
-            if not self.moving[i]:
-                self.statics[i].observe_snr(float(snr_db[j]), float(now_ms[j]))
+                self.soa.current[i] = seed_rate
+            else:
+                self.static_soa.current[i] = int(self.soa.current[i])
+            self.moving[i] = mv
+            self.controllers[i].switch_count += 1
 
     def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
         if rows is None:
             out = self.soa.current.copy()
-            static_rows = np.flatnonzero(~self.moving)
-            positions = static_rows
+            positions = static_rows = np.flatnonzero(~self.moving)
         else:
             out = self.soa.current[rows]
             positions = np.flatnonzero(~self.moving[rows])
             static_rows = rows[positions]
         if positions.size:
-            if self.static_soa is not None:
-                out[positions] = self.static_soa.choose(
-                    static_rows, now_ms[positions])
-            else:
-                for j, i in zip(positions, static_rows):
-                    rate = int(self.statics[i].choose_rate(float(now_ms[j])))
-                    if not 0 <= rate < N_RATES:
-                        raise ValueError(
-                            f"controller chose invalid rate {rate}")
-                    out[j] = rate
+            out[positions] = self.static_soa.choose(static_rows,
+                                                    now_ms[positions])
         return out
 
     def on_result_batch(self, rows, rates, successes, now_ms) -> None:
@@ -211,28 +173,19 @@ class _HintAwareBatchAdapter(BatchRateAdapter):
             self.soa.on_result(sel[mi], rates[mi], successes[mi], now_ms[mi])
         si = np.flatnonzero(~mv)
         if si.size:
-            if self.static_soa is not None:
-                self.static_soa.on_result(
-                    sel[si], rates[si], successes[si], now_ms[si])
-            else:
-                for j in si:
-                    self.statics[int(sel[j])].on_result(
-                        int(rates[j]), bool(successes[j]), float(now_ms[j])
-                    )
+            self.static_soa.on_result(
+                sel[si], rates[si], successes[si], now_ms[si])
 
     def retire(self, rows) -> None:
         self.soa.retire_rows(rows, [c._mobile for c in self.controllers])
-        if self.static_soa is not None:
-            self.static_soa.retire_rows(rows, self.statics)
+        self.static_soa.retire_rows(rows, [c._static for c in self.controllers])
         for r in rows:
             self.controllers[int(r)]._moving = bool(self.moving[r])
 
     def compact(self, keep) -> None:
         super().compact(keep)
         self.soa.compact(keep)
-        self.statics = [self.statics[int(k)] for k in keep]
-        if self.static_soa is not None:
-            self.static_soa.compact(keep)
+        self.static_soa.compact(keep)
         self.moving = self.moving[keep]
         self.cruise._moving = self.moving
         self._reset_on_switch = [self._reset_on_switch[int(k)] for k in keep]

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..channel.rates import N_RATES
-from .base import BatchRateAdapter, CruiseView, LoopBatchAdapter, RateController
+from .base import BatchRateAdapter, CruiseView, RateController
 
 __all__ = ["RapidSample"]
 
@@ -120,10 +120,11 @@ class RapidSample(RateController):
         return max(best, 0)
 
     @classmethod
-    def step_batch(cls, controllers: Sequence[RateController]) -> BatchRateAdapter:
-        n_rates = {c.n_rates for c in controllers}
-        if len(n_rates) > 1:
-            return LoopBatchAdapter(controllers)
+    def step_batch(
+        cls, controllers: Sequence[RateController]
+    ) -> BatchRateAdapter | None:
+        if len({c.n_rates for c in controllers}) > 1:
+            return None
         return _RapidSampleBatchAdapter(controllers)
 
 
@@ -300,7 +301,6 @@ class _RapidCruise(CruiseView):
 class _RapidSampleBatchAdapter(BatchRateAdapter):
     """NumPy lockstep driver for B RapidSample controllers."""
 
-    uses_snr = False
     needs_choose_time = False
 
     def __init__(self, controllers: Sequence[RapidSample]) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..channel.rates import N_RATES
 from ..mac import timing
-from .base import BatchRateAdapter, LoopBatchAdapter, RateController
+from .base import BatchRateAdapter, RateController
 
 __all__ = ["SampleRate", "SampleRateSoA"]
 
@@ -179,9 +179,11 @@ class SampleRate(RateController):
             self._consecutive_failures[rate_index] += 1
 
     @classmethod
-    def step_batch(cls, controllers: Sequence[RateController]) -> BatchRateAdapter:
+    def step_batch(
+        cls, controllers: Sequence[RateController]
+    ) -> BatchRateAdapter | None:
         if len({c.n_rates for c in controllers}) > 1:
-            return LoopBatchAdapter(controllers)
+            return None
         return _SampleRateBatchAdapter(controllers)
 
 
@@ -448,8 +450,6 @@ class SampleRateSoA:
 
 class _SampleRateBatchAdapter(BatchRateAdapter):
     """NumPy lockstep driver for B SampleRate controllers."""
-
-    uses_snr = False
 
     def __init__(self, controllers: Sequence[SampleRate]) -> None:
         super().__init__(controllers)

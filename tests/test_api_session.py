@@ -14,7 +14,6 @@ from repro.api import (
 from repro.api.planner import (
     BATCH_BREAK_EVEN_LINKS,
     BATCH_SIZE,
-    NETWORK_BATCH_MIN_STATIONS,
     link_count,
     plan_link_tasks,
     resolve_network_engine,
@@ -174,8 +173,8 @@ class TestPlanner:
             assert protocol in RATE_PROTOCOLS
             assert isinstance(tcp, bool)
             cls = type(RATE_PROTOCOLS[protocol](0))
-            # Entries are for classes with their own array adapter; the
-            # LoopBatchAdapter fallback did not win at both lengths.
+            # Entries are for classes with their own array adapter;
+            # the others never reach the batch engine.
             assert "step_batch" in vars(cls), protocol
             # ... and reachable within one chunk.
             assert 1 <= entry <= BATCH_SIZE
@@ -185,6 +184,32 @@ class TestPlanner:
         assert plan.singles == ()
         assert set(plan.engines) == {"batch"}
 
+    def test_forced_batch_labels_scalar_protocols_fast(self):
+        """Protocols whose class has no array adapter replay on fast even
+        under a forced batch, and the plan says so."""
+        keys = [(protocol, tcp, False) for protocol in sorted(RATE_PROTOCOLS)
+                for tcp in (False, True)]
+        plan = plan_link_tasks(keys, "batch")
+        for (protocol, _, _), engine in zip(keys, plan.engines):
+            cls = type(RATE_PROTOCOLS[protocol](0))
+            assert engine == ("batch" if "step_batch" in vars(cls)
+                              else "fast"), protocol
+        assert {keys[i][0] for i in plan.singles} == {"RRAA", "RBAR", "CHARM"}
+        assert sorted([i for chunk in plan.chunks for i in chunk]
+                      + list(plan.singles)) == list(range(len(keys)))
+
+    def test_forced_batch_task_engines_are_honest(self):
+        grid = GridSpec(protocols=("RRAA", "RapidSample"), envs=("office",),
+                        mode="static", n_seeds=1, seed0=0, duration_s=2.0,
+                        tcp=False)
+        run = Session(engine="batch", jobs=1).run(grid)
+        engines = dict(zip([link.protocol for link in grid.expand(0)],
+                           run.task_engines))
+        assert engines == {"RRAA": "fast", "RapidSample": "batch"}
+        assert run.engine == "mixed"
+        assert run.throughputs == \
+            Session(engine="reference", jobs=1).run(grid).throughputs
+
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_forced_per_task_engines(self, engine):
         plan = plan_link_tasks(self.KEYS, engine)
@@ -193,12 +218,26 @@ class TestPlanner:
         assert set(plan.engines) == {engine}
 
     def test_network_engine_resolution(self):
-        assert resolve_network_engine("batch", 1) == "batch"
-        assert resolve_network_engine("fast", 50) == "reference"
-        assert resolve_network_engine("reference", 50) == "reference"
-        dense = NETWORK_BATCH_MIN_STATIONS
+        from dataclasses import replace
+
+        from repro.network import make_scenario
+
+        dense = make_scenario("dense_cell", seed=0)
+        assert resolve_network_engine("batch", dense) == "batch"
+        assert resolve_network_engine("fast", dense) == "reference"
+        assert resolve_network_engine("reference", dense) == "reference"
+        # auto: batch exactly where rounds can commit (one AP, all UDP),
+        # however few stations.
         assert resolve_network_engine("auto", dense) == "batch"
-        assert resolve_network_engine("auto", dense - 1) == "reference"
+        solo = make_scenario("dense_cell", seed=0, n_stations=1)
+        assert resolve_network_engine("auto", solo) == "batch"
+        one_tcp = dense.with_overrides(stations=(
+            replace(dense.stations[0], traffic="tcp"),) + dense.stations[1:])
+        assert resolve_network_engine("auto", one_tcp) == "reference"
+        # The rest of the net_catalog: several APs, or TCP stations.
+        for name in ("corridor_walk", "vehicular_drive_by", "mixed_mobility"):
+            assert resolve_network_engine(
+                "auto", make_scenario(name, seed=0)) == "reference", name
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,18 @@ from repro.mac import (
     run_batch,
     run_link,
 )
-from repro.rate import FixedRate, RapidSample
+from repro.mac.batch import BatchLinkEngine
+from repro.rate import (
+    CHARM,
+    RBAR,
+    RRAA,
+    FixedRate,
+    HintAwareRateController,
+    RapidSample,
+    RoundRobin,
+    SampleRate,
+)
+from repro.rate.base import make_batch_adapter
 
 SEED = 23
 
@@ -120,12 +131,10 @@ class TestBatchEdgeCases:
         """A hand-built heterogeneous engine (``run_batch`` partitions by
         class instead) drives each class through its own sub-adapter of
         the composite, dropping rows as links end at different times."""
-        from repro.mac.batch import BatchLinkEngine
         from repro.rate.base import CompositeBatchAdapter
 
         links = [("RapidSample", 2.0, False), ("SampleRate", 4.0, False),
-                 ("HintAware", 3.0, True), ("CHARM", 4.0, False),
-                 ("RapidSample", 3.0, True)]
+                 ("HintAware", 3.0, True), ("RapidSample", 3.0, True)]
         engine = BatchLinkEngine([
             _spec(protocol=p, duration_s=d, tcp=tcp, seed=SEED + i)
             for i, (p, d, tcp) in enumerate(links)])
@@ -238,15 +247,13 @@ class TestCruisePaths:
     def test_subclassed_controller_falls_back_to_loop(self):
         """A subclass inheriting RapidSample's vectorized adapter but
         overriding a scalar hook must NOT be vectorized with the
-        parent's semantics -- it gets the loop adapter instead."""
+        parent's semantics -- it has no array adapter and replays on
+        the fast engine instead."""
         class Sticky(RapidSample):
             def on_result(self, rate_index, success, now_ms):
                 pass  # never adapts: very different from RapidSample
 
-        from repro.rate.base import LoopBatchAdapter, make_batch_adapter
-
-        assert isinstance(make_batch_adapter([Sticky(), Sticky()]),
-                          LoopBatchAdapter)
+        assert make_batch_adapter([Sticky(), Sticky()]) is None
         trace = cached_trace("office", "mixed", SEED, 3.0)
         hints = cached_hints("mixed", SEED, 3.0)
         cfg = SimConfig(seed=SEED)
@@ -269,6 +276,84 @@ class TestCruisePaths:
         fast = run_link(trace, RapidSample(), UdpSource(),
                         hint_series=hints, config=cfg)
         assert_results_identical(batch, fast)
+
+
+class TestScalarFallback:
+    """Groups without an array adapter replay on the fast engine inside
+    :func:`run_batch`, bit-identical to standalone replays."""
+
+    @staticmethod
+    def _forbid_engine(monkeypatch):
+        def run(self):
+            raise AssertionError("a batch engine ran")
+
+        monkeypatch.setattr(BatchLinkEngine, "run", run)
+
+    @pytest.mark.parametrize("make", [
+        RRAA,
+        lambda: RBAR(training_seed=SEED),
+        lambda: CHARM(training_seed=SEED),
+        RoundRobin,
+        lambda: HintAwareRateController(static=RRAA()),
+        lambda: HintAwareRateController(mobile=SampleRate()),
+    ], ids=["RRAA", "RBAR", "CHARM", "RoundRobin", "HintAware-RRAA-static",
+            "HintAware-SampleRate-mobile"])
+    def test_group_without_array_adapter_matches_run_link(self, make,
+                                                          monkeypatch):
+        assert make_batch_adapter([make(), make()]) is None
+        trace = cached_trace("office", "mixed", SEED, 3.0)
+        hints = cached_hints("mixed", SEED, 3.0)
+        cfg = SimConfig(seed=SEED)
+        fast = run_link(trace, make(), UdpSource(), hint_series=hints,
+                        config=cfg)
+        self._forbid_engine(monkeypatch)
+        batch = run_batch([BatchLinkSpec(
+            trace=trace, controller=make(), traffic=UdpSource(),
+            hint_series=hints, config=cfg) for _ in range(2)])
+        for res in batch:
+            assert_results_identical(res, fast)
+
+    def test_hand_built_engine_rejects_charm(self):
+        with pytest.raises(ValueError, match="no array adapter"):
+            BatchLinkEngine([_spec(protocol="CHARM")])
+
+    def test_mixed_rate_counts_have_no_array_adapter(self):
+        assert make_batch_adapter([RapidSample(4), RapidSample()]) is None
+        assert make_batch_adapter([SampleRate(4), SampleRate()]) is None
+        assert make_batch_adapter([RapidSample(), CHARM()]) is None
+
+    def test_array_and_scalar_groups_in_one_call(self):
+        protocols = ["RapidSample", "CHARM", "SampleRate", "RRAA",
+                     "HintAware", "RBAR"]
+        specs = [_spec(protocol=p, seed=SEED + i, duration_s=2.0)
+                 for i, p in enumerate(protocols)]
+        for i, (p, res) in enumerate(zip(protocols, run_batch(specs))):
+            assert_results_identical(
+                res, _fast(protocol=p, seed=SEED + i, duration_s=2.0))
+
+    def test_snr_config_knobs_share_one_batch(self, monkeypatch):
+        """No adapted controller reads SNR, so SNR-observation knobs no
+        longer split groups: one engine replays all these links."""
+        knobs = [dict(), dict(snr_obs_noise_db=0.0),
+                 dict(snr_calibration_error_db=0.0),
+                 dict(snr_feedback=False),
+                 dict(snr_obs_noise_db=4.0, snr_calibration_error_db=3.0)]
+        specs = [_spec(protocol="HintAware", seed=SEED + i, duration_s=2.0,
+                       **kw) for i, kw in enumerate(knobs)]
+        engines = []
+        original = BatchLinkEngine.run
+
+        def run(self):
+            engines.append(self)
+            return original(self)
+
+        monkeypatch.setattr(BatchLinkEngine, "run", run)
+        results = run_batch(specs)
+        assert len(engines) == 1
+        for i, (kw, res) in enumerate(zip(knobs, results)):
+            assert_results_identical(
+                res, _fast(protocol="HintAware", seed=SEED + i,
+                           duration_s=2.0, **kw))
 
 
 class TestBatchPool:
