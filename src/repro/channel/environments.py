@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 __all__ = [
     "Environment",
     "OFFICE",
@@ -62,6 +64,21 @@ class Environment:
     def mean_snr_db(self, distance_m: float) -> float:
         """Average SNR at a distance, before shadowing and fading."""
         return self.tx_power_dbm - self.pathloss_db(distance_m) - self.noise_floor_dbm
+
+    def mean_snr_db_array(self, distances_m) -> np.ndarray:
+        """:meth:`mean_snr_db` per element, bit-identical to the scalar.
+
+        Stays one ``math.log10`` per distinct distance: ``np.log10`` is
+        not bit-equal to it on every input, and traces must not move.
+        """
+        tx, noise = self.tx_power_dbm, self.noise_floor_dbm
+        ref, slope = self.pathloss_ref_db, 10.0 * self.pathloss_exponent
+        log10 = math.log10
+        clamped = np.maximum(np.asarray(distances_m, dtype=np.float64), 1.0)
+        distinct, inverse = np.unique(clamped, return_inverse=True)
+        snr = np.array([tx - (ref + slope * log10(d)) - noise
+                        for d in distinct.tolist()])
+        return snr[inverse.reshape(clamped.shape)]
 
     def with_distance(self, base_distance_m: float) -> "Environment":
         """Copy of this environment at a different nominal range.

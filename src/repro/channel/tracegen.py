@@ -101,13 +101,12 @@ class TraceGenerator:
         )
 
         times = (np.arange(n) + 0.5) * dt_s
-        xs = np.empty(n)
-        ys = np.empty(n)
-        speeds = np.empty(n)
-        for i, t in enumerate(times):
-            state = self._script.state_at(t)
-            xs[i], ys[i] = state.x_m, state.y_m
-            speeds[i] = state.speed_mps if state.moving else 0.0
+        script = self._script
+        xs, ys = script.positions(times)
+        idx = script.segment_indices(times)
+        seg_speeds = [seg.speed_mps if seg.kind.is_moving else 0.0
+                      for seg in script.segments]
+        speeds = np.array(seg_speeds)[idx]
 
         # Sender placement: offset so the script's start sits at the
         # environment's nominal range, sender at the origin of that frame.
@@ -115,19 +114,37 @@ class TraceGenerator:
         dy = ys - ys[0]
         distances = np.hypot(dx + self._env.base_distance_m, dy)
 
-        mean_snr = np.array([self._env.mean_snr_db(d) for d in distances])
+        mean_snr = self._env.mean_snr_db_array(distances)
 
-        # Shadowing: Gauss-Markov over distance travelled.
-        shadow = np.empty(n)
+        # Shadowing: Gauss-Markov over distance travelled.  A segment's
+        # speed is constant, so so are its per-sample step and rho; only
+        # samples with rho < 1 draw, and their normals come in one call
+        # (the same stream as one draw per sample).  The recurrence runs
+        # on Python floats in the scalar operation order.
         sigma = self._env.shadow_sigma_db
         corr = self._env.shadow_corr_m
         value = 0.0 if self._zero_initial_shadow else rng.normal(0.0, sigma)
-        step_dist = speeds * dt_s
-        for i in range(n):
-            rho = math.exp(-step_dist[i] / corr) if step_dist[i] > 0 else 1.0
+        seg_rho = []
+        for speed in seg_speeds:
+            step_dist = speed * dt_s
+            seg_rho.append(math.exp(-step_dist / corr) if step_dist > 0 else 1.0)
+        n_draws = int(np.count_nonzero((np.array(seg_rho) < 1.0)[idx]))
+        noise = rng.normal(0.0, sigma, size=n_draws).tolist()
+        shadow = np.empty(n)
+        cursor = 0
+        runs = np.flatnonzero(np.diff(idx)) + 1
+        for start, stop in zip([0] + runs.tolist(), runs.tolist() + [n]):
+            rho = seg_rho[idx[start]]
             if rho < 1.0:
-                value = rho * value + math.sqrt(1.0 - rho * rho) * rng.normal(0.0, sigma)
-            shadow[i] = value
+                innov = math.sqrt(1.0 - rho * rho)
+                values = []
+                for z in noise[cursor:cursor + stop - start]:
+                    value = rho * value + innov * z
+                    values.append(value)
+                cursor += stop - start
+                shadow[start:stop] = values
+            else:
+                shadow[start:stop] = value
 
         fading_db = fading.sample_series(speeds, dt_s)
         return mean_snr + shadow + fading_db
@@ -168,10 +185,7 @@ class TraceGenerator:
             # r's slot fates always consume the r-th block of draws.
             fates[:, r] = rng.random(n_slots) >= slot_per
 
-        moving = np.array(
-            [self._script.moving_at((i + 0.5) * SLOT_S) for i in range(n_slots)],
-            dtype=bool,
-        )
+        moving = self._script.moving_flags((np.arange(n_slots) + 0.5) * SLOT_S)
         return ChannelTrace(
             fates=fates,
             snr_db=slot_snr,

@@ -186,5 +186,5 @@ class HintAwareNode:
         """Oracle movement series straight from the script (for comparison)."""
         n = int(self._script.duration_s * rate_hz)
         times = np.arange(n) / rate_hz
-        values = np.array([self._script.moving_at(t) for t in times], dtype=bool)
+        values = self._script.moving_flags(times)
         return HintSeries(times_s=times, values=values)

@@ -110,9 +110,7 @@ def run_microphone(seed: int = 0) -> dict:
     mic = Microphone(script, seed=seed)
     levels = np.array([r.values[0] for r in mic.readings()])
     variation = noise_variation(levels)
-    truth = np.array([
-        script.moving_at(i / mic.rate_hz) for i in range(len(levels))
-    ])
+    truth = script.moving_flags(np.arange(len(levels)) / mic.rate_hz)
     return {
         "quiet_variation_db": float(np.median(variation[~truth])),
         "busy_variation_db": float(np.median(variation[truth])),

@@ -33,7 +33,7 @@ def run(seed: int = 0, still_s: float = 60.0, move_s: float = 40.0) -> dict:
     hints = movement_hint_series(forces)
     times = acc.report_times()
 
-    still_mask = np.array([not script.moving_at(t) for t in times])
+    still_mask = ~script.moving_flags(times)
     move_mask = ~still_mask
     # Exclude transition edges (the detector's own 100 ms hold).
     guard = int(0.2 / 0.002)

@@ -35,9 +35,14 @@ from functools import lru_cache
 from ..channel import ChannelTrace, environment_by_name, generate_trace, get_store
 from ..core.architecture import HintAwareNode, HintSeries
 from ..core.seeds import derive_seed
-from ..sensors.trajectory import Motion, MotionScript, MotionSegment
+from ..sensors.trajectory import (
+    Motion,
+    MotionScript,
+    MotionSegment,
+    pacing_script,
+)
 from ..vehicular import mobility as vehicular_mobility
-from .scenario import NetworkScenario, StationSpec
+from .scenario import NetworkScenario
 
 __all__ = [
     "station_seed",
@@ -105,23 +110,6 @@ def _vehicle_scripts(scenario: NetworkScenario) -> tuple[MotionScript, ...]:
     )
 
 
-def _pace_segments(spec: StationSpec, duration_s: float,
-                   leg_s: float = 5.0) -> list[MotionSegment]:
-    """Out-and-back walking legs along the spec's heading."""
-    segments: list[MotionSegment] = []
-    remaining = duration_s
-    leg = 0
-    while remaining > 1e-9:
-        seg_s = min(leg_s, remaining)
-        heading = spec.heading_deg if leg % 2 == 0 else (spec.heading_deg + 180.0) % 360.0
-        segments.append(
-            MotionSegment(Motion.WALK, seg_s, spec.speed_mps, heading)
-        )
-        remaining -= seg_s
-        leg += 1
-    return segments
-
-
 def station_script(scenario: NetworkScenario, index: int) -> MotionScript:
     """Expand one station's mobility recipe into a motion script."""
     spec = scenario.stations[index]
@@ -137,7 +125,9 @@ def station_script(scenario: NetworkScenario, index: int) -> MotionScript:
         segments = [MotionSegment(Motion.WALK, duration, spec.speed_mps,
                                   spec.heading_deg)]
     elif spec.mobility == "pace":
-        segments = _pace_segments(spec, duration)
+        return pacing_script(duration, speed_mps=spec.speed_mps,
+                             heading_deg=spec.heading_deg,
+                             start_xy=spec.start_xy)
     elif spec.mobility == "drive_by":
         # Two passes: approach then recede, like the Figure 3-4 traces.
         half = duration / 2.0

@@ -74,15 +74,14 @@ class Accelerometer(Sensor):
         out[:] = _GRAVITY
         out += rng.normal(0.0, _STILL_NOISE, size=(n, 3))
 
-        # Per-sample motion flags and kinds from the shared script.
-        times = np.arange(n) * dt
-        moving = np.zeros(n, dtype=bool)
-        sway_std = np.zeros(n)
-        for i, t in enumerate(times):
-            state = self._script.state_at(t)
-            if state.moving:
-                moving[i] = True
-                sway_std[i] = _DRIVE_SWAY if state.kind is Motion.DRIVE else _WALK_SWAY
+        # Per-sample sway std from the shared script (0 while still).
+        seg_sway = np.array([
+            (_DRIVE_SWAY if seg.kind is Motion.DRIVE else _WALK_SWAY)
+            if seg.kind.is_moving else 0.0
+            for seg in self._script.segments
+        ])
+        sway_std = seg_sway[self._script.segment_indices(np.arange(n) * dt)]
+        moving = sway_std > 0.0
 
         if not moving.any():
             return out
@@ -91,23 +90,40 @@ class Accelerometer(Sensor):
         # that detection stays under the paper's 100 ms bound.
         ramp = _ramp_envelope(moving, int(round(_RAMP_S / dt)))
 
-        # Gauss-Markov sway on each axis: x[k+1] = rho x[k] + sqrt(1-rho^2) w.
+        # Gauss-Markov sway on each axis: x[k+1] = rho x[k] + sqrt(1-rho^2) w,
+        # reset to 0 wherever the ramp is off.  Only ramped samples draw
+        # (three normals each, drawn here as one block), and the gait
+        # phase advances only on them.  Both recurrences run on Python
+        # floats in the order the per-sample model defines.
         rho = math.exp(-dt / _SWAY_TAU_S)
         innov = math.sqrt(1.0 - rho * rho)
-        sway = np.zeros(3)
         gait_phase = rng.uniform(0.0, 2.0 * math.pi)
-        for i in range(n):
-            if ramp[i] <= 0.0:
-                sway[:] = 0.0
-                continue
-            sway = rho * sway + innov * rng.normal(0.0, 1.0, size=3)
-            amp = sway_std[i] * ramp[i]
-            out[i] += amp * sway
-            # Gait bob: dominant on the gravity axis, fainter laterally.
-            gait_phase += 2.0 * math.pi * _GAIT_HZ * dt
-            bob = _GAIT_AMPL * ramp[i] * math.sin(gait_phase)
-            out[i, 2] += bob
-            out[i, 0] += 0.3 * bob
+        active = np.flatnonzero(ramp > 0.0)
+        draws = rng.normal(0.0, 1.0, size=(len(active), 3)).tolist()
+        restart = np.ones(len(active), dtype=bool)
+        restart[1:] = np.diff(active) != 1
+        phase_step = 2.0 * math.pi * _GAIT_HZ * dt
+        sin = math.sin
+        sway = []
+        gait = []
+        sx = sy = sz = 0.0
+        for fresh, (zx, zy, zz) in zip(restart.tolist(), draws):
+            if fresh:
+                sx = sy = sz = 0.0
+            sx = rho * sx + innov * zx
+            sy = rho * sy + innov * zy
+            sz = rho * sz + innov * zz
+            sway.append((sx, sy, sz))
+            gait_phase += phase_step
+            gait.append(sin(gait_phase))
+
+        ramp_on = ramp[active]
+        amp = sway_std[active] * ramp_on
+        out[active] += amp[:, None] * np.array(sway)
+        # Gait bob: dominant on the gravity axis, fainter laterally.
+        bob = _GAIT_AMPL * ramp_on * np.array(gait)
+        out[active, 2] += bob
+        out[active, 0] += 0.3 * bob
         return out
 
     # ------------------------------------------------------------------
@@ -128,20 +144,20 @@ class Accelerometer(Sensor):
 
 
 def _ramp_envelope(moving: np.ndarray, ramp_samples: int) -> np.ndarray:
-    """Envelope in [0, 1]: 0 at rest, ramping to 1 over motion onsets."""
-    n = len(moving)
+    """Envelope in [0, 1]: 0 at rest, ramping to 1 over motion onsets.
+
+    Each moving run restarts the ramp ``level = min(1, level + step)``
+    from 0, so every run follows the same level sequence; it is
+    accumulated once and indexed by each sample's offset into its run.
+    """
     env = moving.astype(np.float64)
     if ramp_samples <= 1:
         return env
-    out = env.copy()
-    # Ramp up after each rest->move transition.
-    level = 0.0
     step = 1.0 / ramp_samples
-    for i in range(n):
-        if env[i] > 0:
-            level = min(1.0, level + step)
-            out[i] = level
-        else:
-            level = 0.0
-            out[i] = 0.0
-    return out
+    levels = [min(1.0, step)]
+    while levels[-1] < 1.0:
+        levels.append(min(1.0, levels[-1] + step))
+    index = np.arange(len(env))
+    run_start = np.maximum.accumulate(np.where(moving, 0, index + 1))
+    offset = np.minimum(index - run_start, len(levels) - 1)
+    return np.where(moving, np.array(levels)[np.maximum(offset, 0)], 0.0)

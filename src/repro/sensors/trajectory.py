@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "Motion",
@@ -113,8 +115,13 @@ class MotionState:
 class MotionScript:
     """A piecewise-constant trajectory assembled from segments.
 
-    The script integrates positions once at construction so that
-    :meth:`state_at` is an O(log n) lookup.
+    Construction integrates each segment's start position once, so
+    :meth:`state_at` bisects for the segment and advances from its
+    start: O(log n) on straight segments, plus one 50 ms Euler step per
+    elapsed step on turning ones.  :meth:`state_at` is the scalar spec;
+    :meth:`segment_indices`, :meth:`positions` and :meth:`moving_flags`
+    answer the same questions for a whole array of times at once and
+    are bit-identical to it.
 
     >>> script = MotionScript([
     ...     MotionSegment(Motion.STATIONARY, 10.0),
@@ -147,6 +154,22 @@ class MotionScript:
             t += seg.duration_s
         self._duration = t
         self._end_position = (x, y)
+        # Per-segment tables for the array methods (:meth:`positions`,
+        # :meth:`moving_flags`): one ``math.sin``/``math.cos`` per
+        # segment, exactly the factors :meth:`_advance` computes.
+        self._starts = np.array(self._start_times)
+        self._x0 = np.array([p[0] for p in self._start_positions])
+        self._y0 = np.array([p[1] for p in self._start_positions])
+        self._moving = np.array([seg.kind.is_moving for seg in self._segments])
+        self._speed = np.array([seg.speed_mps for seg in self._segments])
+        moves = self._moving & (self._speed != 0.0)
+        straight = np.array([abs(seg.turn_rate_dps) < 1e-12
+                             for seg in self._segments])
+        self._straight = moves & straight
+        self._turning = moves & ~straight
+        thetas = [math.radians(seg.heading_deg) for seg in self._segments]
+        self._sin = np.array([math.sin(theta) for theta in thetas])
+        self._cos = np.array([math.cos(theta) for theta in thetas])
 
     @staticmethod
     def _advance(
@@ -160,9 +183,11 @@ class MotionScript:
             # Heading measured clockwise from north: north = +y, east = +x.
             return (x + seg.speed_mps * dt * math.sin(theta),
                     y + seg.speed_mps * dt * math.cos(theta))
-        # Constant-rate turn: integrate along the arc in small steps.  The
-        # closed form exists but stepping keeps the code obvious and the
-        # error negligible at the sampling rates we use.
+        # Constant-rate turn: Euler steps of at most 50 ms from the
+        # segment start, whatever the caller's sampling rate.  The
+        # stepping *defines* turning trajectories (positions() calls
+        # back into it per sample), so swapping in the closed-form arc
+        # would change every turning trace.
         steps = max(1, int(math.ceil(dt / 0.05)))
         h = dt / steps
         heading = seg.heading_deg
@@ -195,6 +220,38 @@ class MotionScript:
             else:
                 hi = mid - 1
         return lo
+
+    def segment_indices(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`segment_index_at` for an array of times (same clamping)."""
+        idx = np.searchsorted(self._starts, times, side="right") - 1
+        return np.clip(idx, 0, len(self._segments) - 1)
+
+    def positions(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x_m, y_m)`` arrays equal to :meth:`state_at` at each time.
+
+        Straight segments use :meth:`_advance`'s closed form with its
+        operation order, so every element is bit-identical to the
+        scalar path; turning segments call :meth:`_advance` per sample.
+        """
+        t = np.minimum(np.maximum(np.asarray(times, dtype=np.float64), 0.0),
+                       self._duration)
+        idx = self.segment_indices(t)
+        dt = t - self._starts[idx]
+        x0 = self._x0[idx]
+        y0 = self._y0[idx]
+        step = self._speed[idx] * dt
+        advance = self._straight[idx] & (dt > 0.0)
+        xs = np.where(advance, x0 + step * self._sin[idx], x0)
+        ys = np.where(advance, y0 + step * self._cos[idx], y0)
+        for i in np.flatnonzero(self._turning[idx]).tolist():
+            k = int(idx[i])
+            xs[i], ys[i] = self._advance(self._segments[k], float(x0[i]),
+                                         float(y0[i]), float(dt[i]))
+        return xs, ys
+
+    def moving_flags(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`moving_at` for an array of times, as a bool array."""
+        return self._moving[self.segment_indices(times)]
 
     def state_at(self, time_s: float) -> MotionState:
         """Ground-truth motion state at an arbitrary time (clamped)."""
@@ -229,7 +286,7 @@ class MotionScript:
     def moving_mask(self, slot_s: float) -> list[bool]:
         """Boolean per-slot movement mask (slot midpoints)."""
         n = int(round(self._duration / slot_s))
-        return [self.moving_at((i + 0.5) * slot_s) for i in range(n)]
+        return self.moving_flags((np.arange(n) + 0.5) * slot_s).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = ",".join(s.kind.value[:4] for s in self._segments)
@@ -269,28 +326,32 @@ def pacing_script(
     leg_s: float = 5.0,
     speed_mps: float = WALKING_SPEED,
     outdoor: bool = False,
+    heading_deg: float = 0.0,
+    start_xy: tuple[float, float] = (0.0, 0.0),
 ) -> MotionScript:
     """Walking back and forth within the same area (out-and-back legs).
 
     The paper's Human/Mobile receiver was "moved at standard indoor
     walking speed on a wheeled chair" around the experiment area -- it
-    does not march out of the building.  Alternating headings keep the
-    walker within ``leg_s * speed`` metres of the start.
+    does not march out of the building.  Legs alternate between
+    ``heading_deg`` and its reverse, which keeps the walker within
+    ``leg_s * speed`` metres of ``start_xy``.
     """
     if leg_s <= 0:
         raise ValueError("leg duration must be positive")
+    back_deg = (heading_deg + 180.0) % 360.0
     segments: list[MotionSegment] = []
     remaining = duration_s
     leg = 0
     while remaining > 1e-9:
         seg_s = min(leg_s, remaining)
-        heading = 0.0 if leg % 2 == 0 else 180.0
+        heading = heading_deg if leg % 2 == 0 else back_deg
         segments.append(
             MotionSegment(Motion.WALK, seg_s, speed_mps, heading, outdoor=outdoor)
         )
         remaining -= seg_s
         leg += 1
-    return MotionScript(segments)
+    return MotionScript(segments, start_xy=start_xy)
 
 
 def mixed_mobility_script(

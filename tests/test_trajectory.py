@@ -121,6 +121,14 @@ class TestBuilders:
         )
         assert max_dist <= 5.0 * 1.4 + 1e-6
 
+    def test_pacing_legs_reverse_the_given_heading(self):
+        script = pacing_script(12.0, speed_mps=1.0, heading_deg=270.0,
+                               start_xy=(4.0, -2.0))
+        assert [seg.heading_deg for seg in script.segments] == \
+            [270.0, 90.0, 270.0]
+        assert script.state_at(0.0).position == (4.0, -2.0)
+        assert script.state_at(5.0).x_m == pytest.approx(-1.0)
+
     def test_pacing_always_moving(self):
         script = pacing_script(30.0)
         assert all(script.moving_at(t + 0.5) for t in range(30))
