@@ -2,16 +2,18 @@
 
 The execution layer reads two environment knobs -- ``REPRO_JOBS``
 (worker-process count) and ``REPRO_TRACE_STORE`` (on-disk trace-store
-root).  A malformed value must not surface deep inside the executor or
-the trace store: a pathological store path (an embedded NUL byte, a
-root that is a regular file) would otherwise raise a bare
-``ValueError``/``OSError`` inside :mod:`repro.channel.store` on the
-first cache access, far from the misconfiguration.
+root) -- and each is parsed by exactly one function here.  A malformed
+value must not surface deep inside the executor or the trace store: a
+pathological store path (an embedded NUL byte, a root that is a regular
+file) would otherwise raise a bare ``ValueError``/``OSError`` inside
+:mod:`repro.channel.store` on the first cache access, far from the
+misconfiguration.
 
 :class:`~repro.api.session.Session` is the one entry point, so it
 validates its whole configuration at construction through the resolvers
 here and raises one clear :class:`ConfigError` naming the offending
-knob and value.
+knob and value.  The resolved values live on the session; nothing here
+writes the environment back.
 """
 
 from __future__ import annotations
@@ -80,12 +82,15 @@ def resolve_jobs(jobs: int | None) -> int:
 def resolve_store_root(store: str | os.PathLike | None = None) -> Path | None:
     """Trace-store root from the argument or ``REPRO_TRACE_STORE``.
 
-    ``None`` consults the environment (unset -> the working-directory
-    default, matching :func:`repro.channel.store.default_store_root`);
-    ``"off"`` (or any disabling spelling) returns ``None`` meaning "no
-    on-disk store".  A value that cannot possibly work -- an embedded
-    NUL byte, or a root that exists and is a regular file -- raises
-    :class:`ConfigError` here instead of a bare error on first access.
+    The one parser of ``REPRO_TRACE_STORE``: sessions resolve their
+    store through it, and :func:`repro.channel.store.get_store` resolves
+    the process default through it when no session installed a store.
+    ``None`` consults the environment (unset -> ``.cache/trace-store``
+    under the working directory); ``"off"`` (or any disabling spelling)
+    returns ``None`` meaning "no on-disk store".  A value that cannot
+    possibly work -- an embedded NUL byte, or a root that exists and is
+    a regular file -- raises :class:`ConfigError` here instead of a bare
+    error on first access.
     """
     if store is None:
         raw = os.environ.get(_STORE_ENV)

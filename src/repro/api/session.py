@@ -1,7 +1,7 @@
 """The session: one entry point for running every workload.
 
 A :class:`Session` owns the execution policy -- seed lineage
-(:func:`~repro.core.seeds.derive_seed` from the session seed), the
+(:func:`~repro.core.seeds.derive_seed` from the session seed), its own
 on-disk trace store, the worker-process count, and the engine
 preference -- and validates all of it eagerly (one
 :class:`~repro.api.config.ConfigError` instead of scattered failures).
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 
-from ..channel.store import get_store, set_store_root
+from ..channel.store import TraceStore, install_store
 from ..core.seeds import derive_seed
 from .config import ConfigError, resolve_engine, resolve_jobs, resolve_store_root
 from .executor import (
@@ -65,10 +65,13 @@ class Session:
         (malformed values raise :class:`ConfigError`); 1 runs serial
         in-process.
     store:
-        Trace-store root.  ``None`` keeps the process default
-        (``REPRO_TRACE_STORE`` or ``.cache/trace-store``); a path
-        redirects the process-wide store (exported to the environment
-        so worker processes inherit it); ``"off"`` disables it.
+        Trace-store root.  ``None`` reads ``REPRO_TRACE_STORE`` (unset:
+        ``.cache/trace-store``); ``"off"`` disables the on-disk store.
+        The session holds its own :class:`TraceStore` on that root and
+        installs it as the process store at construction and on every
+        :meth:`map` / :meth:`scatter`, whose pool workers receive the
+        root through their initializer -- so two sessions with
+        different stores in one process never share artefacts.
     seed:
         Base seed of this session's :func:`derive_seed` lineage; specs
         with ``seed=None`` get collision-free seeds minted from it.
@@ -84,18 +87,16 @@ class Session:
         self.engine = resolve_engine(engine)
         self.jobs = resolve_jobs(jobs)
         self.seed = int(seed)
-        root = resolve_store_root(store)
-        if store is not None:
-            set_store_root(root)
-        self._store_root = root
+        self._store = TraceStore(resolve_store_root(store))
+        install_store(self._store)
 
     # ------------------------------------------------------------------
     # Ownership surfaces
     # ------------------------------------------------------------------
     @property
-    def store(self):
-        """The process-wide :class:`~repro.channel.store.TraceStore`."""
-        return get_store()
+    def store(self) -> TraceStore:
+        """This session's :class:`~repro.channel.store.TraceStore`."""
+        return self._store
 
     def derive(self, *key) -> int:
         """A collision-free seed from this session's lineage."""
@@ -120,6 +121,7 @@ class Session:
         spec order regardless of how the plan interleaved them.
         """
         start = time.perf_counter()
+        install_store(self._store)
         specs = list(specs)
         pending_links: list[tuple[int, LinkReplaySpec]] = []
         pending_nets: list[tuple[int, NetworkTask]] = []
@@ -210,6 +212,7 @@ class Session:
         # which import this package.
         from ..experiments.parallel import ordered_map
 
+        install_store(self._store)
         return ordered_map(fn, items, self.jobs)
 
     # ------------------------------------------------------------------
@@ -260,7 +263,7 @@ class Session:
         one worker each; on a warm store this is a cheap no-op pass.
         Serial runs warm lazily through the caches.
         """
-        if self.jobs <= 1 or not get_store().enabled:
+        if self.jobs <= 1 or not self._store.enabled:
             return
         from ..experiments.parallel import warm_cache_task
 
@@ -297,12 +300,11 @@ class Session:
         One (trace, hints) pair per worker call; policy and engine
         variants of the same (scenario, seed) world share artefacts
         *through the store* (content-addressed), so each world is
-        warmed once.  Without a store there is nothing for the warm
-        pass to retain -- the in-process caches key on the full frozen
-        scenario, policy and engine included -- so it is skipped and
-        the replays generate lazily instead.
+        warmed once.  Without an on-disk store the warm pass is
+        skipped: pool workers would keep what they generate in their
+        own memos, so the replays generate lazily instead.
         """
-        if not tasks or not get_store().enabled:
+        if not tasks or not self._store.enabled:
             return
         from ..network import make_scenario
 

@@ -21,7 +21,7 @@ from .environments import (
 )
 from .trace import SLOT_S, ChannelTrace, concat_traces
 from .tracegen import TraceGenerator, generate_packet_loss_series, generate_trace
-from .store import STORE_VERSION, TraceStore, default_store_root, get_store
+from .store import STORE_VERSION, TraceStore, get_store
 from .gilbert import GilbertElliott
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "generate_packet_loss_series",
     "STORE_VERSION",
     "TraceStore",
-    "default_store_root",
     "get_store",
     "GilbertElliott",
 ]

@@ -3,21 +3,37 @@
 Trace generation (fading synthesis + per-slot fate draws) dominates the
 cost of many experiment drivers, and the same (environment, motion,
 seed, duration) traces are shared between figures, between repeated
-runs, and -- with the parallel executor -- between worker processes that
-cannot share an in-process ``lru_cache``.  The store persists each
-generated :class:`~repro.channel.trace.ChannelTrace` (and the hint
-series derived from the same motion script) as a compressed ``.npz``
-addressed by a digest of its generating parameters, so every consumer
-regenerates a given trace at most once per machine.
+runs, and between worker processes.  This module is the one place that
+decides where such an artefact lives and how it is produced: a
+:class:`TraceStore` persists each generated
+:class:`~repro.channel.trace.ChannelTrace` (and the hint series derived
+from the same motion script) as a compressed ``.npz`` addressed by a
+digest of its generating recipe, and :meth:`TraceStore.trace` /
+:meth:`TraceStore.hint_series` look an artefact up in the store's
+in-process memo, then on disk, and only then generate and persist it.
+Every public memoiser (``cached_trace``, ``station_hints``, ...) is one
+of those two calls with its recipe's key fields and a generator.
+
+The process store
+-----------------
+:func:`get_store` returns the store the memoisers use.  A
+:class:`repro.api.Session` owns its own store and installs it (at
+construction and on every :meth:`~repro.api.Session.map` /
+:meth:`~repro.api.Session.scatter`); pool workers are handed the root
+explicitly by their initializer.  Without a session, the first lookup
+installs the default from ``REPRO_TRACE_STORE``
+(:func:`repro.api.config.resolve_store_root`): unset means
+``.cache/trace-store`` under the working directory, ``off`` disables
+persistence.  Because the memo belongs to the store, switching stores
+can neither serve another store's artefact nor skip writing to the new
+one.
 
 Layout and invalidation
 -----------------------
-Files live under ``<root>/<digest[:2]>/<digest>.npz`` where ``root``
-defaults to ``.cache/trace-store`` under the current working directory
-and can be overridden with the ``REPRO_TRACE_STORE`` environment
-variable (set it to ``off`` to disable persistence entirely).  The
-digest covers a schema-version salt (:data:`STORE_VERSION`), so bumping
-that constant invalidates every entry when generator semantics change;
+Files live under ``<root>/<digest[:2]>/<digest>.npz``.  The digest
+covers a schema-version salt (:data:`STORE_VERSION`) and
+:func:`generator_fingerprint`, a digest of every source file that
+shapes an artefact, so editing generation code orphans old entries;
 deleting the store directory is always safe -- entries are regenerated
 on demand.  Writes go through a temp file + ``os.replace`` so concurrent
 workers never observe a torn archive; unreadable entries are treated as
@@ -29,71 +45,71 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from ..core.architecture import HintSeries
 from .trace import ChannelTrace
 
 __all__ = [
     "STORE_VERSION",
     "TraceStore",
-    "default_store_root",
+    "fingerprint_sources",
     "generator_fingerprint",
     "get_store",
-    "set_store_root",
+    "install_store",
 ]
 
 #: Bump for semantic invalidations that :func:`generator_fingerprint`
 #: cannot see (e.g. a schema change in how entries are stored).
 STORE_VERSION = 1
 
+#: Artefacts a store keeps in memory (least recently used evicted).
+MEMO_ENTRIES = 256
+
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+#: Modules outside the generator packages whose code turns key fields
+#: into motion scripts (the evaluation modes, the station recipes and
+#: the vehicular mobility model).
+_RECIPE_MODULES = ("experiments/common.py", "network/traces.py",
+                   "vehicular/mobility.py")
+
+
+def fingerprint_sources() -> list[Path]:
+    """Every source file :func:`generator_fingerprint` covers: the
+    generator packages (channel/sensors/core) and the recipe modules."""
+    paths = [path for package in ("channel", "sensors", "core")
+             for path in sorted((_PACKAGE_ROOT / package).rglob("*.py"))]
+    return paths + [_PACKAGE_ROOT / module for module in _RECIPE_MODULES]
+
 
 @lru_cache(maxsize=1)
 def generator_fingerprint() -> str:
-    """Digest of the generator source packages (channel/sensors/core).
+    """Digest of :func:`fingerprint_sources`, read by path.
 
     Folded into every store key, so editing trace/hint generation code
-    orphans old entries automatically -- no manual version bump, and a
-    CI cache restored across commits can never serve traces produced by
-    different physics.
+    or a recipe orphans old entries automatically -- no manual version
+    bump, and a CI cache restored across commits can never serve
+    artefacts produced by different physics.
     """
-    import repro.channel
-    import repro.core
-    import repro.sensors
-
     digest = hashlib.blake2b(digest_size=8)
-    for package in (repro.channel, repro.sensors, repro.core):
-        root = Path(package.__file__).parent
-        for path in sorted(root.rglob("*.py")):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
+    for path in fingerprint_sources():
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
     return digest.hexdigest()
-
-_ENV_VAR = "REPRO_TRACE_STORE"
-_DISABLED_VALUES = ("off", "none", "0", "disabled")
-
-
-def default_store_root() -> Path | None:
-    """Store root from the environment, or the working-directory default.
-
-    Returns ``None`` when ``REPRO_TRACE_STORE`` is set to ``off`` (or
-    empty), which disables on-disk caching.
-    """
-    value = os.environ.get(_ENV_VAR)
-    if value is None:
-        return Path(".cache") / "trace-store"
-    if value.strip().lower() in _DISABLED_VALUES or not value.strip():
-        return None
-    return Path(value)
 
 
 class TraceStore:
-    """A content-addressed ``.npz`` cache of traces and hint series."""
+    """A content-addressed ``.npz`` cache of traces and hint series,
+    with an in-process memo of the artefacts it served."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         self._root = Path(root) if root is not None else None
+        self._memo: OrderedDict[str, object] = OrderedDict()
 
     @property
     def root(self) -> Path | None:
@@ -172,6 +188,44 @@ class TraceStore:
             return
 
     # ------------------------------------------------------------------
+    # Memoised artefacts: memo, else disk, else generate and persist
+    # ------------------------------------------------------------------
+    def trace(self, kind: str, generate: Callable[[], ChannelTrace], /,
+              **fields) -> ChannelTrace:
+        """The trace of the recipe ``(kind, fields)``; ``generate()``
+        runs only when neither the memo nor the disk holds it."""
+        return self._memoised(self.key(kind, **fields), self.get_trace,
+                              generate, self.put_trace)
+
+    def hint_series(self, kind: str, generate: Callable[[], HintSeries], /,
+                    **fields) -> HintSeries:
+        """The hint series of the recipe ``(kind, fields)`` (the
+        :meth:`trace` twin)."""
+
+        def load(key: str) -> HintSeries | None:
+            stored = self.get_series(key)
+            return None if stored is None else HintSeries(*stored)
+
+        def save(key: str, series: HintSeries) -> None:
+            self.put_series(key, series.times_s, series.values)
+
+        return self._memoised(self.key(kind, **fields), load, generate, save)
+
+    def _memoised(self, key: str, load, generate, save):
+        memo = self._memo
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = load(key)
+        if value is None:
+            value = generate()
+            save(key, value)
+        memo[key] = value
+        if len(memo) > MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return value
+
+    # ------------------------------------------------------------------
     # Typed round-trips
     # ------------------------------------------------------------------
     def get_trace(self, key: str) -> ChannelTrace | None:
@@ -204,31 +258,25 @@ class TraceStore:
 
 
 _STORE: TraceStore | None = None
-_STORE_ROOT: Path | None = None
 
 
-def set_store_root(root: str | Path | None) -> None:
-    """Redirect the process-wide store (``None`` disables it).
+def install_store(store: TraceStore) -> None:
+    """Make ``store`` the process store :func:`get_store` returns.
 
-    Writes ``REPRO_TRACE_STORE`` so pool worker processes -- which
-    inherit the environment, not this module's globals -- resolve the
-    same root; :func:`get_store` picks the change up on its next call.
-    This is what ``repro.api.Session(store=...)`` and the runner's
-    ``--store`` flag call.
+    :class:`repro.api.Session` calls this with its own store; pool
+    workers call it from their initializer with the root they are given.
     """
-    os.environ[_ENV_VAR] = "off" if root is None else os.fspath(root)
+    global _STORE
+    _STORE = store
 
 
 def get_store() -> TraceStore:
-    """The process-wide store for the current ``REPRO_TRACE_STORE``.
+    """The process store: the last one installed, else (on first use)
+    the environment's default from ``REPRO_TRACE_STORE``."""
+    global _STORE
+    if _STORE is None:
+        # Deferred: repro.api imports this module.
+        from ..api.config import resolve_store_root
 
-    Re-reads the environment on every call so tests (and forked workers
-    with edited environments) can redirect or disable the store without
-    restarting the process.
-    """
-    global _STORE, _STORE_ROOT
-    root = default_store_root()
-    if _STORE is None or root != _STORE_ROOT:
-        _STORE = TraceStore(root)
-        _STORE_ROOT = root
+        _STORE = TraceStore(resolve_store_root())
     return _STORE

@@ -178,28 +178,18 @@ def movement_hint_series(
 ) -> np.ndarray:
     """Hint value ``H_t`` per report for a whole force trace (vectorised).
 
-    Matches :class:`MovementDetector` report-for-report.
+    Matches :class:`MovementDetector` report-for-report.  Past the
+    averaging warm-up (``2 * avg_window - 1`` reports, which the
+    detector ignores) its hysteresis state is exactly "a high jerk
+    within the last ``hold_window + 1`` reports": the hint turns on
+    with a high jerk and stays on while one is that recent.
     """
-    jerks = jerk_series(forces, avg_window)
-    high = jerks > threshold
-    n = len(high)
-    out = np.zeros(n, dtype=bool)
-    moving = False
-    since_high = hold_window + 1
-    warmup = 2 * avg_window - 1
-    for t in range(n):
-        if t < warmup:
-            continue
-        if high[t]:
-            since_high = 0
-        else:
-            since_high += 1
-        if moving:
-            moving = since_high <= hold_window
-        else:
-            moving = bool(high[t])
-        out[t] = moving
-    return out
+    high = jerk_series(forces, avg_window) > threshold
+    index = np.arange(len(high))
+    high &= index >= 2 * avg_window - 1
+    last_high = np.maximum.accumulate(
+        np.where(high, index, -(hold_window + 1)))
+    return index - last_high <= hold_window
 
 
 @dataclass(frozen=True)

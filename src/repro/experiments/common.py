@@ -3,18 +3,15 @@
 Every driver is a pure function of (seed, parameters) returning a plain
 dict of rows/series -- what the paper's corresponding figure or table
 displays -- plus a ``main()`` that prints it.  Heavy intermediates
-(traces, hint series) are memoised at two levels: an in-process
-``lru_cache`` for the figures of one run, layered over the on-disk
-content-addressed :mod:`repro.channel.store`, which repeated runs and
-:class:`repro.api.Session` worker processes share instead of
-regenerating traces per process.
+(traces, hint series) come from the process trace store
+(:mod:`repro.channel.store`): its in-process memo serves the figures of
+one run, and its content-addressed ``.npz`` files are shared by
+repeated runs and :class:`repro.api.Session` worker processes instead
+of regenerating traces per process.  The functions here only name each
+recipe's key fields and its generator.
 """
 
 from __future__ import annotations
-
-import hashlib
-import inspect
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +23,7 @@ from ..sensors import (
     drive_by_script,
     mixed_mobility_script,
     pacing_script,
+    script_from_segments,
     stationary_script,
 )
 
@@ -71,107 +69,57 @@ def script_for_mode(mode: str, seed: int = 0, duration_s: float = 20.0) -> Motio
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@lru_cache(maxsize=1)
-def _script_salt() -> str:
-    """Digest of :func:`script_for_mode`'s source.
-
-    The motion script shapes trace content but lives outside the
-    packages :func:`repro.channel.store.generator_fingerprint` hashes,
-    so it is folded into the store keys separately: editing the script
-    recipe orphans cached traces instead of silently serving stale
-    physics.
-    """
-    try:
-        blob = inspect.getsource(script_for_mode).encode()
-    except (OSError, TypeError):
-        # No source on disk (frozen app, REPL-defined override): the
-        # bytecode + constants still identify the recipe deterministically.
-        code = script_for_mode.__code__
-        blob = code.co_code + repr(code.co_consts).encode()
-    return hashlib.blake2b(blob, digest_size=8).hexdigest()
-
-
-@lru_cache(maxsize=256)
 def cached_trace(env_name: str, mode: str, seed: int,
                  duration_s: float = 20.0) -> ChannelTrace:
     """Memoised trace generation (figures share trace sets).
 
-    Backed by the on-disk trace store: a trace generated once -- by any
+    Backed by the process trace store: a trace generated once -- by any
     process on this machine -- is loaded from ``.npz`` thereafter.  The
     round-trip is exact, so cached and fresh traces replay identically.
     """
-    store = get_store()
-    key = store.key("trace", env=env_name, mode=mode, seed=seed,
-                    duration_s=duration_s, script=_script_salt())
-    trace = store.get_trace(key)
-    if trace is not None:
-        return trace
-    env = environment_by_name(env_name)
-    script = script_for_mode(mode, seed, duration_s)
-    trace = generate_trace(env, script, seed=seed)
-    store.put_trace(key, trace)
-    return trace
+    return get_store().trace(
+        "trace",
+        lambda: generate_trace(environment_by_name(env_name),
+                               script_for_mode(mode, seed, duration_s),
+                               seed=seed),
+        env=env_name, mode=mode, seed=seed, duration_s=duration_s)
 
 
-@lru_cache(maxsize=256)
 def cached_hints(mode: str, seed: int, duration_s: float = 20.0) -> HintSeries:
     """Memoised receiver-side movement-hint series for a mode/seed.
 
     Store-backed like :func:`cached_trace`: the accelerometer synthesis
     and jerk detection run at most once per (mode, seed, duration).
     """
-    store = get_store()
-    key = store.key("hints", mode=mode, seed=seed, duration_s=duration_s,
-                    script=_script_salt())
-    stored = store.get_series(key)
-    if stored is not None:
-        times_s, values = stored
-        return HintSeries(times_s=times_s, values=values)
-    script = script_for_mode(mode, seed, duration_s)
-    node = HintAwareNode(script, seed=seed)
-    series = node.movement_hint_series()
-    store.put_series(key, series.times_s, series.values)
-    return series
+    return get_store().hint_series(
+        "hints",
+        lambda: HintAwareNode(script_for_mode(mode, seed, duration_s),
+                              seed=seed).movement_hint_series(),
+        mode=mode, seed=seed, duration_s=duration_s)
 
 
-@lru_cache(maxsize=64)
 def cached_script_trace(env_name: str, segments: tuple, seed: int) -> ChannelTrace:
     """Memoised trace for an explicit plain-value motion script.
 
-    The content-addressed twin of :func:`cached_trace` for workloads
-    outside the four evaluation modes (``repro.api`` specs carrying
-    ``segments``): the store key covers the segments themselves, so no
-    script salt is needed -- the recipe *is* the key.
+    The twin of :func:`cached_trace` for workloads outside the four
+    evaluation modes (``repro.api`` specs carrying ``segments``): the
+    store key covers the segments themselves -- the recipe *is* the key.
     """
-    from ..sensors import script_from_segments
-
-    store = get_store()
-    key = store.key("trace", env=env_name, segments=segments, seed=seed)
-    trace = store.get_trace(key)
-    if trace is not None:
-        return trace
-    env = environment_by_name(env_name)
-    trace = generate_trace(env, script_from_segments(segments), seed=seed)
-    store.put_trace(key, trace)
-    return trace
+    return get_store().trace(
+        "trace",
+        lambda: generate_trace(environment_by_name(env_name),
+                               script_from_segments(segments), seed=seed),
+        env=env_name, segments=segments, seed=seed)
 
 
-@lru_cache(maxsize=64)
 def cached_script_hints(segments: tuple, seed: int) -> HintSeries:
     """Movement-hint series for an explicit plain-value motion script
     (the :func:`cached_hints` twin of :func:`cached_script_trace`)."""
-    from ..sensors import script_from_segments
-
-    store = get_store()
-    key = store.key("hints", segments=segments, seed=seed)
-    stored = store.get_series(key)
-    if stored is not None:
-        times_s, values = stored
-        return HintSeries(times_s=times_s, values=values)
-    node = HintAwareNode(script_from_segments(segments), seed=seed)
-    series = node.movement_hint_series()
-    store.put_series(key, series.times_s, series.values)
-    return series
+    return get_store().hint_series(
+        "hints",
+        lambda: HintAwareNode(script_from_segments(segments),
+                              seed=seed).movement_hint_series(),
+        segments=segments, seed=seed)
 
 
 def print_table(title: str, rows: dict, value_format: str = "{:.3f}") -> None:

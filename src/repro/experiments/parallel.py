@@ -12,9 +12,10 @@ reproduction needs:
 * **Determinism.**  Tasks carry explicit seeds, and ``jobs=1`` runs the
   same task functions serially in-process; the test suite asserts
   serial == parallel results.
-* **Shared traces.**  Workers regenerate nothing that the on-disk
-  :mod:`repro.channel.store` already holds; each worker's in-process
-  ``lru_cache`` warms from disk instead of from physics.
+* **Shared traces.**  The pool initializer hands every worker the
+  caller's store root explicitly, so workers regenerate nothing that
+  the on-disk :mod:`repro.channel.store` already holds; each worker's
+  store memo warms from disk instead of from physics.
 
 :meth:`Session.map <repro.api.Session.map>` and
 :meth:`Session.scatter <repro.api.Session.scatter>` are the callers;
@@ -24,7 +25,10 @@ the session owns the worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from typing import Callable, Iterable, TypeVar
+
+from ..channel.store import TraceStore, get_store, install_store
 
 __all__ = ["ordered_map", "warm_cache_task"]
 
@@ -38,7 +42,8 @@ def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T],
 
     Results come back in submission order.  ``jobs=1`` (or a single
     item) short-circuits to a serial in-process loop, so callers pay no
-    process spin-up when parallelism is off.
+    process spin-up when parallelism is off.  Workers use the root of
+    the caller's :func:`~repro.channel.store.get_store`.
     """
     item_list = list(items)
     if jobs <= 1 or len(item_list) <= 1:
@@ -46,8 +51,15 @@ def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T],
     workers = min(jobs, len(item_list))
     # A few chunks per worker balances stragglers against IPC.
     chunksize = max(1, len(item_list) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_use_store_root,
+                             initargs=(get_store().root,)) as executor:
         return list(executor.map(fn, item_list, chunksize=chunksize))
+
+
+def _use_store_root(root: Path | None) -> None:
+    """Pool initializer: a worker's process store is on ``root``."""
+    install_store(TraceStore(root))
 
 
 def warm_cache_task(args: tuple) -> None:

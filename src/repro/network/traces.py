@@ -12,12 +12,12 @@ driven by three artefacts, each a pure function of the scenario:
 * the receiver-side movement :class:`~repro.core.architecture.HintSeries`
   from the synthetic accelerometer + jerk detector over the same script.
 
-Traces and hint series go through the content-addressed on-disk store
+Traces and hint series come from the process trace store
 (:mod:`repro.channel.store`), keyed by the *station recipe* rather than
-the scenario name, so scenarios that share a station spec share
-artefacts, parallel workers regenerate nothing the store already holds,
-and repeated runs are warm.  An in-process ``lru_cache`` sits on top for
-the many lookups within one simulation.
+the scenario name, so scenarios that share a station spec -- policy and
+engine variants of one world, too -- share artefacts, parallel workers
+regenerate nothing the store already holds, and repeated runs are warm.
+The store's in-process memo serves repeated lookups within one process.
 
 Modelling note: a station keeps one trace for its whole run.  Handoffs
 change which contention domain (AP cell) shares airtime with the
@@ -27,8 +27,6 @@ that keeps 1-station scenarios bit-identical to the link simulator.
 
 from __future__ import annotations
 
-import hashlib
-import inspect
 import math
 from functools import lru_cache
 
@@ -55,25 +53,6 @@ __all__ = [
 def station_seed(scenario: NetworkScenario, index: int) -> int:
     """The per-station RNG seed (collision-free across stations)."""
     return derive_seed(scenario.seed, "net-station", scenario.stations[index].name)
-
-
-@lru_cache(maxsize=1)
-def _builder_salt() -> str:
-    """Digest of the script-building code outside the store fingerprint.
-
-    The store's :func:`~repro.channel.store.generator_fingerprint`
-    covers channel/sensors/core; the station recipes below and the
-    vehicular mobility model live outside those packages, so their
-    source is folded into the store keys separately -- editing either
-    orphans cached artefacts instead of serving stale physics.
-    """
-    digest = hashlib.blake2b(digest_size=8)
-    for source_of in (inspect.getmodule(station_script), vehicular_mobility):
-        try:
-            digest.update(inspect.getsource(source_of).encode())
-        except (OSError, TypeError):  # pragma: no cover - frozen app
-            digest.update(repr(source_of).encode())
-    return digest.hexdigest()
 
 
 @lru_cache(maxsize=64)
@@ -152,7 +131,6 @@ def _station_key_fields(scenario: NetworkScenario, index: int) -> dict:
         start=spec.start_xy,
         duration_s=scenario.duration_s,
         seed=station_seed(scenario, index),
-        salt=_builder_salt(),
     )
     if spec.mobility == "vehicle":
         # Vehicle scripts depend on the shared ensemble, not the spec.
@@ -166,36 +144,27 @@ def _station_key_fields(scenario: NetworkScenario, index: int) -> dict:
     return fields
 
 
-@lru_cache(maxsize=256)
 def station_trace(scenario: NetworkScenario, index: int) -> ChannelTrace:
     """The station's channel trace (store-backed, exact round-trip)."""
-    store = get_store()
-    key = store.key("net-trace", env=scenario.environment,
-                    **_station_key_fields(scenario, index))
-    trace = store.get_trace(key)
-    if trace is not None:
+
+    def generate() -> ChannelTrace:
+        trace = generate_trace(environment_by_name(scenario.environment),
+                               station_script(scenario, index),
+                               seed=station_seed(scenario, index))
+        if trace.duration_s > scenario.duration_s:
+            # Vehicle scripts run to whole seconds; trim to the scenario.
+            trace = trace.window(0.0, scenario.duration_s)
         return trace
-    env = environment_by_name(scenario.environment)
-    script = station_script(scenario, index)
-    trace = generate_trace(env, script, seed=station_seed(scenario, index))
-    if trace.duration_s > scenario.duration_s:
-        # Vehicle scripts run to whole seconds; trim to the scenario.
-        trace = trace.window(0.0, scenario.duration_s)
-    store.put_trace(key, trace)
-    return trace
+
+    return get_store().trace("net-trace", generate, env=scenario.environment,
+                             **_station_key_fields(scenario, index))
 
 
-@lru_cache(maxsize=256)
 def station_hints(scenario: NetworkScenario, index: int) -> HintSeries:
     """The station's receiver-side movement-hint series (store-backed)."""
-    store = get_store()
-    key = store.key("net-hints", **_station_key_fields(scenario, index))
-    stored = store.get_series(key)
-    if stored is not None:
-        times_s, values = stored
-        return HintSeries(times_s=times_s, values=values)
-    script = station_script(scenario, index)
-    node = HintAwareNode(script, seed=station_seed(scenario, index))
-    series = node.movement_hint_series()
-    store.put_series(key, series.times_s, series.values)
-    return series
+    return get_store().hint_series(
+        "net-hints",
+        lambda: HintAwareNode(station_script(scenario, index),
+                              seed=station_seed(scenario, index)
+                              ).movement_hint_series(),
+        **_station_key_fields(scenario, index))

@@ -1,10 +1,11 @@
 """Scalar oracle for trace and hint synthesis.
 
-These are the per-sample loops that :mod:`repro.channel.tracegen` and
-:mod:`repro.sensors.accelerometer` ran before synthesis became an array
-program: one :meth:`MotionScript.state_at` per sample, one
-``Environment.mean_snr_db`` per sample, one ``rng.normal`` per shadowing
-step and per sway step.  They are kept here, outside ``src/``, as the
+These are the per-sample loops that :mod:`repro.channel.tracegen`,
+:mod:`repro.sensors.accelerometer` and :mod:`repro.core.movement` ran
+before synthesis became an array program: one
+:meth:`MotionScript.state_at` per sample, one ``Environment.mean_snr_db``
+per sample, one ``rng.normal`` per shadowing step and per sway step,
+and one detector-hysteresis step per accelerometer report.  They are kept here, outside ``src/``, as the
 executable spec the array path must match byte for byte
 (``tests/test_synth_equivalence.py``) and as the baseline of the
 synthesis benchmark (``benchmarks/test_bench_synth.py``).
@@ -20,6 +21,7 @@ from repro.channel.ber import DEFAULT_PER_MODEL
 from repro.channel.fading import RiceanFadingProcess
 from repro.channel.rates import N_RATES
 from repro.channel.trace import SLOT_S, ChannelTrace
+from repro.core.movement import jerk_series
 from repro.sensors.accelerometer import (
     _DRIVE_SWAY,
     _GAIT_AMPL,
@@ -168,4 +170,27 @@ def forces(script, seed, rate_hz=ACCEL_RATE_HZ):
         bob = _GAIT_AMPL * ramp[i] * math.sin(gait_phase)
         out[i, 2] += bob
         out[i, 0] += 0.3 * bob
+    return out
+
+
+def movement_hint_series(forces, threshold, hold_window, avg_window):
+    """``movement.movement_hint_series``, one report at a time."""
+    high = jerk_series(forces, avg_window) > threshold
+    n = len(high)
+    out = np.zeros(n, dtype=bool)
+    moving = False
+    since_high = hold_window + 1
+    warmup = 2 * avg_window - 1
+    for t in range(n):
+        if t < warmup:
+            continue
+        if high[t]:
+            since_high = 0
+        else:
+            since_high += 1
+        if moving:
+            moving = since_high <= hold_window
+        else:
+            moving = bool(high[t])
+        out[t] = moving
     return out

@@ -367,6 +367,46 @@ def _square(x):
     return x * x
 
 
+# ----------------------------------------------------------------------
+# Session-owned stores: no sharing through the process or environment
+# ----------------------------------------------------------------------
+def _store_files(root) -> set:
+    return {path.relative_to(root) for path in root.rglob("*.npz")}
+
+
+def _bits(run) -> list:
+    """Every field of every task result, arrays as raw bytes."""
+    return [tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                  for v in vars(result).values()) for result in run.results]
+
+
+def _small_grid(seed0: int) -> GridSpec:
+    return GridSpec(protocols=("RapidSample", "HintAware"), envs=("office",),
+                    mode="mixed", n_seeds=2, seed0=seed0, duration_s=2.0)
+
+
+class TestSessionOwnedStore:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interleaved_sessions_keep_their_own_stores(self, tmp_path, jobs):
+        grids = {"a": _small_grid(0), "b": _small_grid(10)}
+        roots = {name: tmp_path / name for name in grids}
+        sessions = {name: Session(jobs=jobs, store=roots[name])
+                    for name in grids}
+        # Each session runs after the other was built, and again after
+        # the other ran.
+        runs = {name: sessions[name].run(grids[name]) for name in grids}
+        again = sessions["a"].run(grids["a"])
+
+        for name, grid in grids.items():
+            solo = tmp_path / f"solo-{name}"
+            Session(jobs=1, store=solo).run(grid)
+            assert _store_files(roots[name]) == _store_files(solo) != set()
+            assert sessions[name].store.root == roots[name]
+            off = Session(jobs=1, store="off").run(grid)
+            assert _bits(runs[name]) == _bits(off)
+        assert _bits(again) == _bits(runs["a"])
+
+
 class TestSeedLineage:
     def test_derive_is_stable_and_keyed(self):
         session = Session(seed=1)

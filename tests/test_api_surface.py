@@ -119,3 +119,57 @@ def test_drivers_take_a_session_not_execution_knobs():
         params = inspect.signature(fn).parameters
         assert "session" in params, fn.__qualname__
         assert not {"jobs", "engine"} & set(params), fn.__qualname__
+
+
+def _environment_writes(tree) -> list[int]:
+    """Line numbers in ``tree`` that write the process environment."""
+    import ast
+
+    def is_environ(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "environ"
+                and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+    lines = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        if any(isinstance(t, ast.Subscript) and is_environ(t.value)
+               for t in targets):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, name = node.func.value, node.func.attr
+            if (is_environ(owner) and name in ("update", "setdefault", "pop",
+                                               "popitem", "clear")) or (
+                    isinstance(owner, ast.Name) and owner.id == "os"
+                    and name in ("putenv", "unsetenv")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_environment_write_detector():
+    import ast
+
+    for source in ('os.environ["X"] = "1"', 'del os.environ["X"]',
+                   'os.environ.update(X="1")', 'os.environ.setdefault("X", "1")',
+                   'os.environ.pop("X")', 'os.putenv("X", "1")'):
+        assert _environment_writes(ast.parse(source)) == [1], source
+    assert _environment_writes(ast.parse(
+        'os.environ.get("X")\nvalue = os.environ["X"]\n')) == []
+
+
+def test_no_module_writes_the_process_environment():
+    # A session's configuration is owned by the session and handed to
+    # workers explicitly, never smuggled through os.environ.
+    import ast
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root.parent)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _environment_writes(ast.parse(path.read_text()))
+    ]
+    assert offenders == []

@@ -529,13 +529,22 @@ class TestScenarioConfig:
             NetworkScenario(name="x", stations=(sta,), aps=(ap,),
                             **{field: value})
 
-    def test_station_artefacts_are_store_backed(self):
+    def test_station_artefacts_are_store_backed(self, monkeypatch,
+                                                tmp_path):
+        from repro.channel import TraceStore
+        from repro.channel import store as store_mod
+        from repro.network import traces
+
+        monkeypatch.setattr(store_mod, "_STORE", TraceStore(tmp_path))
         scenario = solo_scenario()
         trace_a = station_trace(scenario, 0)
         hints_a = station_hints(scenario, 0)
-        # Cached (in-process or on-disk) lookups reproduce exactly.
-        station_trace.cache_clear()
-        station_hints.cache_clear()
+        assert len(list(tmp_path.rglob("*.npz"))) == 2
+        # A fresh store on the same root (empty memo) reads both from
+        # disk, and they reproduce exactly.
+        store_mod.install_store(TraceStore(tmp_path))
+        monkeypatch.setattr(traces, "generate_trace", None)
+        monkeypatch.setattr(traces, "HintAwareNode", None)
         trace_b = station_trace(scenario, 0)
         hints_b = station_hints(scenario, 0)
         assert np.array_equal(trace_a.fates, trace_b.fates)

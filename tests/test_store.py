@@ -1,10 +1,14 @@
 """The content-addressed on-disk trace store."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.api.config import resolve_store_root
 from repro.channel import OFFICE, ChannelTrace, TraceStore, generate_trace, get_store
-from repro.channel.store import default_store_root
+from repro.channel import store as store_mod
 from repro.core.architecture import HintSeries
 from repro.sensors import mixed_mobility_script
 
@@ -40,8 +44,6 @@ class TestKeying:
     def test_key_covers_generator_fingerprint(self, monkeypatch):
         """Keys must change when the generator source changes, so a
         cache restored across commits can't serve stale physics."""
-        from repro.channel import store as store_mod
-
         before = TraceStore.key("trace", seed=1)
         monkeypatch.setattr(store_mod, "generator_fingerprint",
                             lambda: "different-source-tree")
@@ -53,6 +55,19 @@ class TestKeying:
         a = generator_fingerprint()
         assert a == generator_fingerprint()
         int(a, 16)  # hex digest
+
+    def test_fingerprint_covers_the_recipe_modules(self):
+        # The code that turns key fields into motion scripts lives
+        # outside the generator packages; editing it must orphan entries.
+        import repro.experiments.common
+        import repro.network.traces
+        import repro.vehicular.mobility
+
+        sources = {path.resolve() for path in store_mod.fingerprint_sources()}
+        for module in (repro.experiments.common, repro.network.traces,
+                       repro.vehicular.mobility, repro.channel.tracegen,
+                       repro.core.movement):
+            assert Path(module.__file__).resolve() in sources
 
 
 class TestRoundTrip:
@@ -99,31 +114,67 @@ class TestDisabledStore:
         store.put_trace(key, trace)  # silently a no-op
         assert store.get_trace(key) is None
 
+    # Each test starts with no process store installed, so get_store()
+    # falls back to the environment; teardown restores the old one.
     def test_env_var_off(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "_STORE", None)
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
-        assert default_store_root() is None
+        assert resolve_store_root() is None
         assert not get_store().enabled
+        assert not Session().store.enabled
 
     def test_env_var_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(store_mod, "_STORE", None)
         monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "alt"))
-        assert default_store_root() == tmp_path / "alt"
+        assert resolve_store_root() == tmp_path / "alt"
         assert get_store().root == tmp_path / "alt"
+        assert Session().store.root == tmp_path / "alt"
+
+    def test_env_var_unset_is_the_working_directory_default(self,
+                                                            monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        assert resolve_store_root() == Path(".cache") / "trace-store"
 
 
 class TestCachedTraceLayer:
-    def test_cached_trace_hits_disk_across_cache_clear(
-            self, monkeypatch, tmp_path):
+    def test_cached_trace_hits_disk_from_a_fresh_store(self, monkeypatch,
+                                                       tmp_path):
         from repro.experiments import common
 
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "layer"))
-        common.cached_trace.cache_clear()
-        common.cached_hints.cache_clear()
+        monkeypatch.setattr(store_mod, "_STORE", TraceStore(tmp_path / "layer"))
         first = common.cached_trace("office", "mixed", 31, 2.0)
-        # Drop the in-process memo: the next call must load from disk.
-        common.cached_trace.cache_clear()
+        assert common.cached_trace("office", "mixed", 31, 2.0) is first
+        # A fresh store on the same root has an empty memo: the next
+        # call must load from disk, not regenerate.
+        store_mod.install_store(TraceStore(tmp_path / "layer"))
+        monkeypatch.setattr(common, "generate_trace", _no_generation)
         second = common.cached_trace("office", "mixed", 31, 2.0)
         assert second is not first
         assert np.array_equal(first.fates, second.fates)
         assert np.array_equal(first.snr_db, second.snr_db)
-        common.cached_trace.cache_clear()
-        common.cached_hints.cache_clear()
+
+    def test_memo_is_per_store_and_bounded(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(store_mod, "MEMO_ENTRIES", 2)
+        a, b = TraceStore(tmp_path / "a"), TraceStore(None)
+        calls = []
+
+        def make(tag):
+            return lambda: calls.append(tag) or HintSeries(
+                times_s=np.array([0.0]), values=np.array([tag]))
+
+        first = a.hint_series("hints", make(1), seed=1)
+        assert a.hint_series("hints", make(9), seed=1) is first
+        # Another store neither serves nor is served by a's memo.
+        b.hint_series("hints", make(2), seed=1)
+        assert calls == [1, 2]
+        for seed in (2, 3):
+            a.hint_series("hints", make(seed), seed=seed)
+        assert len(a._memo) == 2
+        # The evicted entry comes back from disk, not the generator.
+        again = a.hint_series("hints", make(9), seed=1)
+        assert again is not first and again.values[0] == 1
+        assert calls == [1, 2, 2, 3]
+
+
+def _no_generation(*args, **kwargs):
+    raise AssertionError("the artefact should have come from disk")

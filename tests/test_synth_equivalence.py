@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import synth_oracle
 from repro.channel import ENVIRONMENTS, environment_by_name
 from repro.channel.tracegen import TraceGenerator
+from repro.core.movement import movement_hint_series
 from repro.network import make_scenario
 from repro.network.traces import station_script, station_seed
 from repro.sensors.accelerometer import Accelerometer, _ramp_envelope
@@ -178,3 +179,19 @@ class TestSynthesisMatchesOracle:
     def test_accelerometer_edge_script(self, seed):
         assert Accelerometer(_EDGE_SCRIPT, seed).force_array().tobytes() == \
             synth_oracle.forces(_EDGE_SCRIPT, seed).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 400),
+           st.floats(0.0, 3.0), st.floats(-1.0, 4.0), st.integers(0, 60),
+           st.integers(1, 12))
+    def test_movement_hint_series(self, seed, n, scale, threshold,
+                                  hold_window, avg_window):
+        # Bursts of movement over still noise, so jerks cross the
+        # threshold both ways; n also runs below the 2*avg_window warm-up.
+        rng = np.random.default_rng(seed)
+        forces = rng.normal(0.0, 0.05, size=(n, 3))
+        forces[rng.random(n) < 0.1] *= scale * 40.0
+        assert movement_hint_series(forces, threshold, hold_window,
+                                    avg_window).tobytes() == \
+            synth_oracle.movement_hint_series(forces, threshold, hold_window,
+                                              avg_window).tobytes()
