@@ -26,7 +26,6 @@ __all__ = [
     "run_link_task",
     "run_link_group",
     "run_network_task",
-    "warm_script_task",
     "warm_network_task",
 ]
 
@@ -142,26 +141,6 @@ def run_link_group(tasks: tuple):
         spans.append((start, len(specs)))
     results = run_batch(specs)
     return [_best(results[lo:hi]) for lo, hi in spans]
-
-
-def warm_script_task(args: tuple) -> None:
-    """Top-level worker: generate one segments-script artefact.
-
-    ``("trace", env, segments, seed)`` or ``("hints", segments, seed)``
-    -- the explicit-script twin of
-    :func:`repro.experiments.parallel.warm_cache_task`, so grids of
-    hand-built-script replays (e.g. the supermarket example's workload)
-    fill a cold store one artefact per worker too.
-    """
-    from ..experiments.common import cached_script_hints, cached_script_trace
-
-    kind, *rest = args
-    if kind == "trace":
-        cached_script_trace(*rest)
-    elif kind == "hints":
-        cached_script_hints(*rest)
-    else:
-        raise ValueError(f"unknown warm task kind {kind!r}")
 
 
 def warm_network_task(args: tuple) -> None:

@@ -39,15 +39,14 @@ BATCH_SIZE = 64
 #: and in every mobility mode measured, keeping the larger width where
 #: they disagreed (the measurements are tabulated in the README's
 #: "Choosing an engine").  Pairs without an entry replay on ``fast``
-#: under ``auto``: RapidSample and HintAware under TCP did not win
-#: within one :data:`BATCH_SIZE` chunk (the batch engine drives each
-#: row's scalar ``TcpSource``), and RRAA, RBAR and CHARM have no array
-#: adapter, so they replay on ``fast`` even under ``engine="batch"``.
+#: under ``auto``: SampleRate (UDP and TCP) and HintAware did not win
+#: in every mobility mode within one :data:`BATCH_SIZE`-link chunk
+#: against their list-state scalar controllers, RapidSample under TCP
+#: did not win either (the batch engine drives each row's scalar
+#: ``TcpSource``), and RRAA, RBAR and CHARM have no array adapter, so
+#: they replay on ``fast`` even under ``engine="batch"``.
 BATCH_BREAK_EVEN_LINKS: dict[tuple[str, bool], int] = {
     ("RapidSample", False): 24,
-    ("SampleRate", False): 24,
-    ("HintAware", False): 40,
-    ("SampleRate", True): 48,
 }
 
 

@@ -40,7 +40,6 @@ from .executor import (
     run_link_task,
     run_network_task,
     warm_network_task,
-    warm_script_task,
 )
 from .planner import plan_link_tasks, resolve_network_engine
 from .results import RunResult
@@ -269,30 +268,20 @@ class Session:
 
         warm: list[tuple] = []
         seen: set[tuple] = set()
-        hints: list[tuple] = []
-        script_warm: list[tuple] = []
         for link in links:
             if link.segments is not None:
-                trace_key = ("trace", link.env, link.segments, link.seed)
-                hint_key = ("hints", link.segments, link.seed)
-                for key in (trace_key, hint_key):
-                    if key not in seen:
-                        seen.add(key)
-                        script_warm.append(key)
-                continue
-            trace_key = ("trace", link.env, link.mode, link.seed,
-                         link.duration_s)
-            if trace_key not in seen:
-                seen.add(trace_key)
-                warm.append(trace_key)
-            hint_key = ("hints", link.mode, link.seed, link.duration_s)
-            if hint_key not in seen:
-                seen.add(hint_key)
-                hints.append(hint_key)
-        if warm or hints:
-            self.scatter(warm_cache_task, warm + hints)
-        if script_warm:
-            self.scatter(warm_script_task, script_warm)
+                keys = (("script_trace", link.env, link.segments, link.seed),
+                        ("script_hints", link.segments, link.seed))
+            else:
+                keys = (("trace", link.env, link.mode, link.seed,
+                         link.duration_s),
+                        ("hints", link.mode, link.seed, link.duration_s))
+            for key in keys:
+                if key not in seen:
+                    seen.add(key)
+                    warm.append(key)
+        if warm:
+            self.scatter(warm_cache_task, warm)
 
     def _warm_networks(self, tasks) -> None:
         """Per-station artefact pre-warm for scenario replays.

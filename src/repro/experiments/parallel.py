@@ -65,20 +65,27 @@ def _use_store_root(root: Path | None) -> None:
 def warm_cache_task(args: tuple) -> None:
     """Top-level worker: generate one store artefact (trace or hints).
 
-    Tagged tasks -- ``("trace", env, mode, seed, duration_s)`` or
-    ``("hints", mode, seed, duration_s)`` -- so a session can warm the
-    *unique* artefacts of a task grid in one pool pass before
+    Tagged tasks -- ``("trace", env, mode, seed, duration_s)`` and
+    ``("hints", mode, seed, duration_s)`` for mode-scripted links,
+    ``("script_trace", env, segments, seed)`` and ``("script_hints",
+    segments, seed)`` for explicit segment scripts -- so a session can
+    warm the *unique* artefacts of a task grid in one pool pass before
     submitting the grid itself: on a cold store each trace and each
     hint series is synthesised by exactly one worker instead of by
     every worker whose replay tasks happen to share it.
     """
     # Imported lazily so spawning this module in a worker stays cheap.
-    from .common import cached_hints, cached_trace
+    from .common import (
+        cached_hints,
+        cached_script_hints,
+        cached_script_trace,
+        cached_trace,
+    )
 
+    memoisers = {"trace": cached_trace, "hints": cached_hints,
+                 "script_trace": cached_script_trace,
+                 "script_hints": cached_script_hints}
     kind, *rest = args
-    if kind == "trace":
-        cached_trace(*rest)
-    elif kind == "hints":
-        cached_hints(*rest)
-    else:
+    if kind not in memoisers:
         raise ValueError(f"unknown warm task kind {kind!r}")
+    memoisers[kind](*rest)

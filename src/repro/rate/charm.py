@@ -17,10 +17,10 @@ from collections import deque
 
 import numpy as np
 
-from ..channel.ber import DEFAULT_PER_MODEL, LogisticPerModel
+from ..channel.ber import LogisticPerModel
 from ..channel.rates import N_RATES
 from .base import RateController
-from .rbar import snr_to_rate
+from .rbar import rate_thresholds
 
 __all__ = ["CHARM"]
 
@@ -46,26 +46,31 @@ class CHARM(RateController):
         if window_ms <= 0:
             raise ValueError("window must be positive")
         self._window_ms = window_ms
-        self._model = per_model if per_model is not None else DEFAULT_PER_MODEL
-        self._max_per = max_per
-        self._payload = payload_bytes
         self._margin_step = margin_step_db
         self._max_margin = max_margin_db
         # Imperfect per-rate training, same model as RBAR's: a single
         # adaptive margin cannot correct every rate boundary at once.
+        # Kept as Python floats: the per-decision subtraction is scalar.
         rng = np.random.default_rng(training_seed)
         if training_error_db > 0:
-            self._bias = np.asarray(
-                rng.normal(0.0, training_error_db, size=N_RATES)
-            )
+            self._bias = rng.normal(0.0, training_error_db,
+                                    size=N_RATES).tolist()
         else:
-            self._bias = np.zeros(N_RATES)
+            self._bias = [0.0] * N_RATES
         # CHARM infers the downlink SNR from frames *overheard* on the
         # uplink (channel reciprocity).  TX/RX chain asymmetry makes that
         # inference off by a device-dependent constant -- the calibration
         # problem the CHARM paper itself works around.  RBAR's RTS/CTS
         # feedback does not suffer this.
         self._reciprocity_offset_db = float(rng.normal(0.0, 1.5))
+        # The snr_to_rate test per rate, fastest first, as exact float
+        # thresholds: (answer, bias, threshold, NaN verdict).
+        thresholds, nan_passes = rate_thresholds(per_model, max_per,
+                                                 payload_bytes)
+        self._rules = [
+            (min(r, n_rates - 1), self._bias[r], thresholds[r], nan_passes[r])
+            for r in range(N_RATES - 1, 0, -1)
+        ]
         self.reset()
 
     def reset(self) -> None:
@@ -75,15 +80,17 @@ class CHARM(RateController):
 
     # ------------------------------------------------------------------
     def _expire(self, now_ms: float) -> None:
+        samples = self._samples
         horizon = now_ms - self._window_ms
-        while self._samples and self._samples[0][0] < horizon:
-            _, snr = self._samples.popleft()
-            self._snr_sum -= snr
+        while samples and samples[0][0] < horizon:
+            self._snr_sum -= samples.popleft()[1]
 
     def observe_snr(self, snr_db: float, now_ms: float) -> None:
-        self._expire(now_ms)
+        samples = self._samples
+        if samples and samples[0][0] < now_ms - self._window_ms:
+            self._expire(now_ms)
         observed = snr_db + self._reciprocity_offset_db
-        self._samples.append((now_ms, observed))
+        samples.append((now_ms, observed))
         self._snr_sum += observed
 
     @property
@@ -97,20 +104,39 @@ class CHARM(RateController):
         return self._margin_db
 
     def choose_rate(self, now_ms: float) -> int:
-        self._expire(now_ms)
-        avg = self.average_snr_db
-        if avg is None:
+        """:func:`~repro.rate.rbar.snr_to_rate` of the window average.
+
+        Each rate's effective SNR is ``(avg - margin) - bias[r]``, the
+        operation order of ``snr_to_rate``, compared against the exact
+        float threshold of :func:`~repro.rate.rbar.rate_thresholds`, so
+        the answer is bit-identical to evaluating ``per(effective) <=
+        max_per`` per rate (a NaN average takes the ``per(nan)`` verdict,
+        the top rate for the logistic model).
+        """
+        samples = self._samples
+        if not samples:
             return 0
-        rate = snr_to_rate(
-            avg, self._model, self._max_per, self._payload,
-            margin_db=self._margin_db, threshold_bias_db=self._bias,
-        )
-        return min(rate, self.n_rates - 1)
+        if samples[0][0] < now_ms - self._window_ms:
+            self._expire(now_ms)
+            if not samples:
+                return 0
+        shifted = self._snr_sum / len(samples) - self._margin_db
+        for rate, bias, threshold, nan_passes in self._rules:
+            effective = shifted - bias
+            if effective >= threshold or (effective != effective
+                                          and nan_passes):
+                return rate
+        return 0
 
     def on_result(self, rate_index: int, success: bool, now_ms: float) -> None:
         """Adapt the protection margin: grow on loss, decay on success."""
-        self._check_rate(rate_index)
+        if not 0 <= rate_index < self.n_rates:
+            self._check_rate(rate_index)
+        # max(0.0, m) and min(cap, m) spelled as comparisons: the same
+        # value for every float m, NaN included.
         if success:
-            self._margin_db = max(0.0, self._margin_db - self._margin_step / 10.0)
+            margin = self._margin_db - self._margin_step / 10.0
+            self._margin_db = margin if margin > 0.0 else 0.0
         else:
-            self._margin_db = min(self._max_margin, self._margin_db + self._margin_step)
+            margin = self._margin_db + self._margin_step
+            self._margin_db = margin if margin < self._max_margin else self._max_margin

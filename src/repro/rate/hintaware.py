@@ -52,7 +52,7 @@ class HintAwareRateController(RateController):
         self._mobile = mobile if mobile is not None else RapidSample(n_rates)
         self._static = static if static is not None else SampleRate(n_rates)
         self._reset_on_switch = reset_on_switch
-        self._moving = initially_moving
+        self._set_moving(initially_moving)
         self.switch_count = 0
 
     # ------------------------------------------------------------------
@@ -64,13 +64,25 @@ class HintAwareRateController(RateController):
     def active(self) -> RateController:
         return self._mobile if self._moving else self._static
 
+    def _set_moving(self, moving: bool) -> None:
+        """Switch sides, binding the active side's per-attempt hooks.
+
+        The hooks are resolved here, once per switch, instead of through
+        :attr:`active` on every attempt.
+        """
+        self._moving = moving
+        side = self.active
+        self._choose = side.choose_rate
+        self._learn = side.on_result
+        self._observe = side.observe_snr
+
     def on_hint(self, hint: Hint) -> None:
         if not isinstance(hint, MovementHint):
             return
         if hint.moving == self._moving:
             return
         previous = self.active
-        self._moving = hint.moving
+        self._set_moving(hint.moving)
         self.switch_count += 1
         if self._moving and self._reset_on_switch:
             # Fresh mobile episode: old failure timestamps are stale.
@@ -81,23 +93,24 @@ class HintAwareRateController(RateController):
             self.active._current = int(seed_rate)
 
     def choose_rate(self, now_ms: float) -> int:
-        return self.active.choose_rate(now_ms)
+        return self._choose(now_ms)
 
     def on_result(self, rate_index: int, success: bool, now_ms: float) -> None:
-        self._check_rate(rate_index)
+        if not 0 <= rate_index < self.n_rates:
+            self._check_rate(rate_index)
         # Only the protocol in charge learns from the frame: feeding
         # mobile-period losses into SampleRate's long window would
         # poison its static-period statistics (the exact failure mode
         # the hint switch exists to avoid).
-        self.active.on_result(rate_index, success, now_ms)
+        self._learn(rate_index, success, now_ms)
 
     def observe_snr(self, snr_db: float, now_ms: float) -> None:
-        self.active.observe_snr(snr_db, now_ms)
+        self._observe(snr_db, now_ms)
 
     def reset(self) -> None:
         self._mobile.reset()
         self._static.reset()
-        self._moving = False
+        self._set_moving(False)
         self.switch_count = 0
 
     @classmethod
@@ -180,7 +193,7 @@ class _HintAwareBatchAdapter(BatchRateAdapter):
         self.soa.retire_rows(rows, [c._mobile for c in self.controllers])
         self.static_soa.retire_rows(rows, [c._static for c in self.controllers])
         for r in rows:
-            self.controllers[int(r)]._moving = bool(self.moving[r])
+            self.controllers[int(r)]._set_moving(bool(self.moving[r]))
 
     def compact(self, keep) -> None:
         super().compact(keep)

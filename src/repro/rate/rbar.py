@@ -16,13 +16,93 @@ which is why both SNR protocols trail RapidSample when moving.
 
 from __future__ import annotations
 
+import math
+import struct
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 from ..channel.ber import DEFAULT_PER_MODEL, LogisticPerModel
 from ..channel.rates import N_RATES, RATE_TABLE
 from .base import RateController
 
-__all__ = ["RBAR", "snr_to_rate"]
+__all__ = ["RBAR", "RateThresholds", "rate_thresholds", "snr_to_rate"]
+
+_SIGN_BIT = 1 << 63
+
+
+def _float_key(x: float) -> int:
+    """Integer key with the order of the floats (``-0.0`` keys as ``0.0``)."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", x))
+    return -(bits ^ _SIGN_BIT) if bits & _SIGN_BIT else bits
+
+
+def _key_float(key: int) -> float:
+    """Inverse of :func:`_float_key`."""
+    bits = (-key) | _SIGN_BIT if key < 0 else key
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class RateThresholds(NamedTuple):
+    """Exact trained SNR->rate thresholds, per rate (see :func:`rate_thresholds`)."""
+
+    #: Smallest float effective SNR whose PER is ``<= max_per`` (``-inf``
+    #: when every SNR passes, NaN when none does, so ``>=`` is never true).
+    snr_db: tuple[float, ...]
+    #: Whether a NaN effective SNR passes (``per(nan) <= max_per``).
+    nan_passes: tuple[bool, ...]
+
+
+@lru_cache(maxsize=64)
+def rate_thresholds(
+    per_model: LogisticPerModel | None = None,
+    max_per: float = 0.1,
+    payload_bytes: int = 1000,
+) -> RateThresholds:
+    """Per rate, the smallest float ``t_r`` with ``per(t_r) <= max_per``.
+
+    The search is a bisection over the ordered IEEE-754 bit patterns of
+    the doubles, from ``-inf`` to ``+inf``, calling the model's own
+    ``per`` -- about 64 calls per rate, once per (model, ``max_per``,
+    payload).  The model's ``per`` must be defined on every float and
+    non-increasing in its SNR argument.  The logistic model is: each
+    step of :meth:`~repro.channel.ber.LogisticPerModel.per` is a
+    monotone operation under round-to-nearest, and so is its clamp.
+    The SNRs that pass then form an up-set of the floats, and for every
+    non-NaN ``x``
+
+        ``x >= t_r``  is exactly  ``per(x, r, payload) <= max_per``,
+
+    bit for bit -- the comparison replaces the logistic call without
+    moving a single decision.  NaN compares false against everything,
+    so its verdict (the model's ``per(nan)``, which the logistic clamp
+    sends to the ``+inf`` end) is returned separately.
+    """
+    model = per_model if per_model is not None else DEFAULT_PER_MODEL
+    thresholds: list[float] = []
+    nan_passes: list[bool] = []
+    lo_key, hi_key = _float_key(-math.inf), _float_key(math.inf)
+    for r in range(N_RATES):
+        def passes(x: float, r: int = r) -> bool:
+            return model.per(x, r, payload_bytes) <= max_per
+
+        if not passes(math.inf):
+            t = math.nan
+        elif passes(-math.inf):
+            t = -math.inf
+        else:
+            lo, hi = lo_key, hi_key          # lo fails, hi passes
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if passes(_key_float(mid)):
+                    hi = mid
+                else:
+                    lo = mid
+            t = _key_float(hi)
+        thresholds.append(t)
+        nan_passes.append(passes(math.nan))
+    return RateThresholds(tuple(thresholds), tuple(nan_passes))
 
 
 def snr_to_rate(
@@ -41,19 +121,27 @@ def snr_to_rate(
     threshold differ from the trained scalar-SNR one by a dB or two, and
     differently for each rate, so no single margin fixes every boundary.
 
+    Rate ``r`` qualifies when its effective SNR ``(snr_db - margin_db) -
+    bias[r]`` has ``per <= max_per``.  That test is evaluated exactly as
+    a comparison against the float threshold of :func:`rate_thresholds`
+    (a NaN effective SNR takes the model's ``per(nan)`` verdict), so no
+    PER curve is evaluated per call.  The answer is the fastest
+    qualifying rate, or 0 when none qualifies.
+
     >>> snr_to_rate(30.0)
     7
     >>> snr_to_rate(-10.0)
     0
     """
-    model = per_model if per_model is not None else DEFAULT_PER_MODEL
-    best = 0
-    for r in range(N_RATES):
+    thresholds, nan_passes = rate_thresholds(per_model, max_per, payload_bytes)
+    shifted = snr_db - margin_db
+    for r in range(N_RATES - 1, 0, -1):
         bias = 0.0 if threshold_bias_db is None else float(threshold_bias_db[r])
-        effective = snr_db - margin_db - bias
-        if model.per(effective, r, payload_bytes) <= max_per:
-            best = r
-    return best
+        effective = shifted - bias
+        if effective >= thresholds[r] or (effective != effective
+                                          and nan_passes[r]):
+            return r
+    return 0
 
 
 class RBAR(RateController):
@@ -83,14 +171,11 @@ class RBAR(RateController):
         # Precompute the rate for integer-quantised SNR (fast lookup).
         self._lut_lo = -20
         self._lut_hi = 60
-        self._lut = np.array(
-            [
-                snr_to_rate(s, self._model, max_per, payload_bytes,
-                            threshold_bias_db=self._bias)
-                for s in range(self._lut_lo, self._lut_hi + 1)
-            ],
-            dtype=np.int64,
-        )
+        self._lut = [
+            snr_to_rate(s, self._model, max_per, payload_bytes,
+                        threshold_bias_db=self._bias)
+            for s in range(self._lut_lo, self._lut_hi + 1)
+        ]
         self.reset()
 
     def reset(self) -> None:
@@ -104,7 +189,7 @@ class RBAR(RateController):
             return 0  # no channel knowledge yet: be conservative
         idx = int(round(self._last_snr)) - self._lut_lo
         idx = min(max(idx, 0), len(self._lut) - 1)
-        return int(min(self._lut[idx], self.n_rates - 1))
+        return min(self._lut[idx], self.n_rates - 1)
 
     def on_result(self, rate_index: int, success: bool, now_ms: float) -> None:
         self._check_rate(rate_index)  # SNR-driven: frame fate unused

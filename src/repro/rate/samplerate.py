@@ -25,8 +25,8 @@ trace; :class:`repro.experiments.fig3_5` mirrors that bias.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,16 +38,17 @@ from .base import BatchRateAdapter, RateController
 __all__ = ["SampleRate", "SampleRateSoA"]
 
 
-@dataclass
-class _TxRecord:
-    time_ms: float
-    rate: int
-    success: bool
-    airtime_us: float
-
-
 class SampleRate(RateController):
-    """Minimum-average-transmission-time rate selection."""
+    """Minimum-average-transmission-time rate selection.
+
+    The per-rate window statistics are Python lists and each window
+    record is a ``(time_ms, rate, success, airtime_us)`` tuple: scalar
+    reads and writes of list slots are several times cheaper than
+    indexing NumPy arrays, and Python float arithmetic is the same
+    IEEE-754 double arithmetic, so the values match array state bit for
+    bit.  The airtime of an attempt comes from per-rate delivered/failed
+    tables built once here.
+    """
 
     name = "SampleRate"
 
@@ -66,19 +67,23 @@ class SampleRate(RateController):
             raise ValueError("sample_every must be at least 2")
         self._window_ms = window_s * 1000.0
         self._sample_every = sample_every
-        self._payload = payload_bytes
         self._rng = np.random.default_rng(seed)
-        self._lossless_us = np.array(
-            [timing.exchange_airtime_us(r, payload_bytes) for r in range(n_rates)]
-        )
+        #: Airtime of a delivered (lossless) / failed exchange per rate;
+        #: the lossless time is also an unseen rate's optimistic score.
+        self._lossless_us = [timing.exchange_airtime_us(r, payload_bytes)
+                             for r in range(n_rates)]
+        self._fail_air_us = [timing.failed_exchange_us(r, payload_bytes)
+                             for r in range(n_rates)]
+        self._rates = range(n_rates)
         self.reset()
 
     def reset(self) -> None:
-        self._records: deque[_TxRecord] = deque()
-        self._tx_time_us = np.zeros(self.n_rates)
-        self._successes = np.zeros(self.n_rates, dtype=np.int64)
-        self._failures = np.zeros(self.n_rates, dtype=np.int64)
-        self._consecutive_failures = np.zeros(self.n_rates, dtype=np.int64)
+        n = self.n_rates
+        self._records: deque[tuple[float, int, bool, float]] = deque()
+        self._tx_time_us = [0.0] * n
+        self._successes = [0] * n
+        self._failures = [0] * n
+        self._consecutive_failures = [0] * n
         self._packet_count = 0
         self._current = self.n_rates - 1   # optimistic start, like the driver
         self._sampling_rate: int | None = None
@@ -90,58 +95,61 @@ class SampleRate(RateController):
         return self._current
 
     def _expire(self, now_ms: float) -> None:
+        records = self._records
         horizon = now_ms - self._window_ms
-        while self._records and self._records[0].time_ms < horizon:
-            rec = self._records.popleft()
-            self._tx_time_us[rec.rate] -= rec.airtime_us
-            if rec.success:
-                self._successes[rec.rate] -= 1
+        tx, succ, fail = self._tx_time_us, self._successes, self._failures
+        while records and records[0][0] < horizon:
+            _, rate, success, airtime = records.popleft()
+            tx[rate] -= airtime
+            if success:
+                succ[rate] -= 1
             else:
-                self._failures[rec.rate] -= 1
+                fail[rate] -= 1
             # Once the window has forgotten a rate entirely, its
             # four-successive-failures quarantine lapses too; otherwise a
             # rate that crashed once would be banned forever.
-            if self._successes[rec.rate] + self._failures[rec.rate] == 0:
-                self._consecutive_failures[rec.rate] = 0
-
-    def _average_tx_time_us(self, rate: int) -> float:
-        """Average airtime per *delivered* packet at this rate."""
-        succ = self._successes[rate]
-        if succ <= 0:
-            return np.inf
-        return self._tx_time_us[rate] / succ
+            if succ[rate] + fail[rate] == 0:
+                self._consecutive_failures[rate] = 0
 
     def _best_rate(self) -> int:
         """Rate with minimum average tx time; unseen rates score lossless.
 
-        The four-successive-failures quarantine only bars *unproven*
-        rates (no success in the window): a rate with thousands of
-        successes is not exiled by one unlucky burst -- its average
-        transmission time already absorbs those failures.
+        A rate's score is its average airtime per *delivered* packet,
+        ``inf`` when it has attempts but no success, and its lossless
+        airtime when it has no attempts.  The four-successive-failures
+        quarantine only bars *unproven* rates (no success in the
+        window): a rate with thousands of successes is not exiled by one
+        unlucky burst -- its average transmission time already absorbs
+        those failures.  Ties keep the slower rate (strict ``<``), and
+        when every score is ``inf`` the answer is rate 0.  An ``inf``
+        score can never pass the strict test, so those rates, like
+        quarantined ones, are skipped in the one pass below.
         """
-        best, best_time = 0, np.inf
-        for r in range(self.n_rates):
-            if self._consecutive_failures[r] >= 4 and self._successes[r] == 0:
+        best, best_time = 0, math.inf
+        for r, s, tx, f, consec, lossless in zip(
+                self._rates, self._successes, self._tx_time_us,
+                self._failures, self._consecutive_failures, self._lossless_us):
+            if s > 0:
+                score = tx / s
+            elif f > 0 or consec >= 4:
                 continue
-            attempts = self._successes[r] + self._failures[r]
-            score = (
-                self._average_tx_time_us(r) if attempts > 0 else self._lossless_us[r]
-            )
+            else:
+                score = lossless
             if score < best_time:
                 best, best_time = r, score
         return best
 
     def _pick_sample_rate(self, current_best: int) -> int | None:
         """A candidate that could beat the current best, at random."""
-        best_avg = self._average_tx_time_us(current_best)
-        if not np.isfinite(best_avg):
+        succ = self._successes[current_best]
+        best_avg = self._tx_time_us[current_best] / succ if succ > 0 else math.inf
+        if not math.isfinite(best_avg):
             best_avg = self._lossless_us[current_best]
+        consec = self._consecutive_failures
         candidates = [
             r
-            for r in range(self.n_rates)
-            if r != current_best
-            and self._consecutive_failures[r] < 4
-            and self._lossless_us[r] < best_avg
+            for r, lossless in enumerate(self._lossless_us)
+            if r != current_best and consec[r] < 4 and lossless < best_avg
         ]
         if not candidates:
             return None
@@ -149,7 +157,9 @@ class SampleRate(RateController):
 
     # ------------------------------------------------------------------
     def choose_rate(self, now_ms: float) -> int:
-        self._expire(now_ms)
+        records = self._records
+        if records and records[0][0] < now_ms - self._window_ms:
+            self._expire(now_ms)
         self._packet_count += 1
         best = self._best_rate()
         self._sampling_rate = None
@@ -163,20 +173,18 @@ class SampleRate(RateController):
         return best
 
     def on_result(self, rate_index: int, success: bool, now_ms: float) -> None:
-        self._check_rate(rate_index)
-        airtime = (
-            timing.exchange_airtime_us(rate_index, self._payload)
-            if success
-            else timing.failed_exchange_us(rate_index, self._payload)
-        )
-        self._records.append(_TxRecord(now_ms, rate_index, success, airtime))
-        self._tx_time_us[rate_index] += airtime
+        if not 0 <= rate_index < self.n_rates:
+            self._check_rate(rate_index)
         if success:
+            airtime = self._lossless_us[rate_index]
             self._successes[rate_index] += 1
             self._consecutive_failures[rate_index] = 0
         else:
+            airtime = self._fail_air_us[rate_index]
             self._failures[rate_index] += 1
             self._consecutive_failures[rate_index] += 1
+        self._records.append((now_ms, rate_index, success, airtime))
+        self._tx_time_us[rate_index] += airtime
 
     @classmethod
     def step_batch(
@@ -229,14 +237,10 @@ class SampleRateSoA:
             dtype=np.int64).reshape(n, n_rates)
         self.lossless = np.array([c._lossless_us for c in controllers],
                                  dtype=np.float64).reshape(n, n_rates)
-        self.ok_air = np.array(
-            [[timing.exchange_airtime_us(r, c._payload)
-              for r in range(n_rates)] for c in controllers],
-            dtype=np.float64).reshape(n, n_rates)
-        self.fail_air = np.array(
-            [[timing.failed_exchange_us(r, c._payload)
-              for r in range(n_rates)] for c in controllers],
-            dtype=np.float64).reshape(n, n_rates)
+        self.ok_air = np.array([c._lossless_us for c in controllers],
+                               dtype=np.float64).reshape(n, n_rates)
+        self.fail_air = np.array([c._fail_air_us for c in controllers],
+                                 dtype=np.float64).reshape(n, n_rates)
         self.window_ms = np.array([c._window_ms for c in controllers])
         self.sample_every = np.array([c._sample_every for c in controllers],
                                      dtype=np.int64)
@@ -262,11 +266,11 @@ class SampleRateSoA:
         self.start = np.zeros(n, dtype=np.int64)
         self.end = np.zeros(n, dtype=np.int64)
         for i, c in enumerate(controllers):
-            for j, rec in enumerate(c._records):
-                self.rec_time[i, j] = rec.time_ms
-                self.rec_rate[i, j] = rec.rate
-                self.rec_succ[i, j] = rec.success
-                self.rec_air[i, j] = rec.airtime_us
+            for j, (time_ms, rate, success, airtime) in enumerate(c._records):
+                self.rec_time[i, j] = time_ms
+                self.rec_rate[i, j] = rate
+                self.rec_succ[i, j] = success
+                self.rec_air[i, j] = airtime
             self.end[i] = len(c._records)
         self._rebuild_views()
 
@@ -420,23 +424,21 @@ class SampleRateSoA:
         for r in rows:
             r = int(r)
             c = controllers[r]
-            c._tx_time_us = self.tx[r].copy()
-            c._successes = self.succ[r].copy()
-            c._failures = self.fail[r].copy()
-            c._consecutive_failures = self.consec[r].copy()
+            c._tx_time_us = self.tx[r].tolist()
+            c._successes = self.succ[r].tolist()
+            c._failures = self.fail[r].tolist()
+            c._consecutive_failures = self.consec[r].tolist()
             c._packet_count = int(self.packet_count[r])
             c._current = int(self.current[r])
             sampling = int(self.sampling_rate[r])
             c._sampling_rate = None if sampling < 0 else sampling
-            c._records = deque(
-                _TxRecord(
-                    time_ms=float(self.rec_time[r, j]),
-                    rate=int(self.rec_rate[r, j]),
-                    success=bool(self.rec_succ[r, j]),
-                    airtime_us=float(self.rec_air[r, j]),
-                )
-                for j in range(int(self.start[r]), int(self.end[r]))
-            )
+            live = slice(int(self.start[r]), int(self.end[r]))
+            c._records = deque(zip(
+                self.rec_time[r, live].tolist(),
+                self.rec_rate[r, live].tolist(),
+                self.rec_succ[r, live].tolist(),
+                self.rec_air[r, live].tolist(),
+            ))
 
     def compact(self, keep: np.ndarray) -> None:
         for name in ("tx", "succ", "fail", "consec", "lossless", "ok_air",

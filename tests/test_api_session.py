@@ -131,8 +131,12 @@ class TestPlanner:
                 assert set(plan.engines) == {"fast"}
 
     @pytest.mark.parametrize("tcp", [False, True])
-    def test_best_samplerate_counts_its_windows(self, tcp):
-        entry = BATCH_BREAK_EVEN_LINKS[("SampleRate", tcp)]
+    def test_best_samplerate_counts_its_windows(self, tcp, monkeypatch):
+        # The mechanism, independent of the measured table: a
+        # best-SampleRate task counts one link per candidate window.
+        entry = 24
+        monkeypatch.setitem(BATCH_BREAK_EVEN_LINKS, ("SampleRate", tcp),
+                            entry)
         windows = len(SAMPLERATE_WINDOWS_S)
         assert link_count(1, True) == windows
         n_tasks = -(-entry // windows)   # fewest tasks reaching the entry
@@ -160,7 +164,8 @@ class TestPlanner:
         assert auto.singles == (n - 2, n - 1)
         assert auto.engines[n - 1] == "fast"
 
-    def test_auto_chunks_execute_first_in_group_order(self):
+    def test_auto_chunks_execute_first_in_group_order(self, monkeypatch):
+        monkeypatch.setitem(BATCH_BREAK_EVEN_LINKS, ("SampleRate", False), 24)
         keys = ([("HintAware", True, False)] * 3
                 + [("RapidSample", False, False)] * 30
                 + [("SampleRate", False, True)] * 8)
@@ -354,6 +359,36 @@ class TestSessionEquivalence:
         assert all(run.result.duration_s == 3.0 for run in runs)
         stored = list((tmp_path / "store").rglob("*.npz"))
         assert len(stored) == 2    # one trace + one hint series, shared
+
+    def test_prewarm_is_one_pass_over_every_artefact_kind(self, monkeypatch,
+                                                          tmp_path):
+        # Mode-scripted and hand-built-script links warm through the
+        # one tagged dispatcher, in a single scatter.
+        from repro.experiments.parallel import warm_cache_task
+        from repro.sensors import pacing_script
+
+        session = Session(jobs=2, store=tmp_path / "store")
+        specs = [
+            LinkReplaySpec.from_script("RapidSample", pacing_script(2.0),
+                                       seed=4, tcp=False),
+            LinkReplaySpec(protocol="RapidSample", env="office",
+                           mode="static", seed=4, duration_s=2.0, tcp=False),
+        ]
+        scatter, calls = session.scatter, []
+
+        def spy(fn, items):
+            calls.append((fn, list(items)))
+            return scatter(fn, items)
+
+        monkeypatch.setattr(session, "scatter", spy)
+        session.map(specs)
+        warm = [items for fn, items in calls if fn is warm_cache_task]
+        assert len(warm) == 1
+        assert sorted(task[0] for task in warm[0]) == [
+            "hints", "script_hints", "script_trace", "trace"]
+        assert len(list((tmp_path / "store").rglob("*.npz"))) == 4
+        with pytest.raises(ValueError, match="unknown warm task kind"):
+            warm_cache_task(("bogus",))
 
     def test_scatter_matches_pool_map(self):
         items = list(range(20))

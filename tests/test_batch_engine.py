@@ -215,6 +215,25 @@ class TestControllerStateParity:
         assert c_batch._failed_time == c_fast._failed_time
         assert c_batch._picked_time == c_fast._picked_time
 
+    def test_samplerate_state_written_back(self):
+        c_batch = SampleRate(window_s=1.0)
+        c_fast = SampleRate(window_s=1.0)
+        trace = cached_trace("office", "mixed", SEED, 3.0)
+        run_batch([BatchLinkSpec(trace=trace, controller=c_batch,
+                                 traffic=UdpSource(),
+                                 config=SimConfig(seed=SEED))])
+        run_link(trace, c_fast, UdpSource(), config=SimConfig(seed=SEED))
+        # The instance state is Python lists and (time, rate, success,
+        # airtime) tuples again after the SoA writes it back.
+        for attr in ("_tx_time_us", "_successes", "_failures",
+                     "_consecutive_failures"):
+            assert type(getattr(c_batch, attr)) is list
+            assert getattr(c_batch, attr) == getattr(c_fast, attr)
+        assert list(c_batch._records) == list(c_fast._records)
+        assert c_batch._packet_count == c_fast._packet_count
+        assert c_batch._current == c_fast._current
+        assert c_batch._sampling_rate == c_fast._sampling_rate
+
     def test_hintaware_switch_count_written_back(self):
         from repro.rate import HintAwareRateController
 
