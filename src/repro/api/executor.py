@@ -12,8 +12,8 @@ seed, traffic), :func:`run_link_task` on any engine and
 :func:`run_link_group` produce **bit-identical**
 :class:`~repro.mac.SimResult`\\ s -- they build the same controllers,
 traces, hint series and ``SimConfig`` seeds, and the engines themselves
-are pinned bit-identical.  The best-SampleRate reduction keeps the
-first window maximising throughput.
+are pinned bit-identical.  The best-SampleRate reduction (per task on
+:func:`run_link_task`) keeps the first window maximising throughput.
 """
 
 from __future__ import annotations
@@ -115,32 +115,28 @@ def run_link_task(task: LinkTask):
 def run_link_group(tasks: tuple):
     """Top-level (picklable) worker: one batchable task group.
 
-    All tasks share (protocol, traffic model, best-SampleRate) -- the
-    planner sends a chunk here only at or above its break-even width;
-    the batch engine replays the whole ragged group in lockstep
-    (candidate SampleRate windows expand into extra links and reduce
-    back to the per-task best).  Builds exactly the links
-    :func:`run_link_task` would replay one by one.
+    All tasks share (protocol, traffic model) -- the planner sends a
+    chunk here only for a protocol with an array adapter -- and the
+    batch engine replays the whole ragged group in lockstep, one link
+    per task: the exact link :func:`run_link_task` would replay.  A
+    best-SampleRate task never arrives (SampleRate has no array
+    adapter); its several candidate windows would fail the unpack.
     """
     from ..mac import SimConfig, TcpSource, UdpSource
     from ..mac.batch import BatchLinkSpec, run_batch
 
     specs: list[BatchLinkSpec] = []
-    spans: list[tuple[int, int]] = []
     for task in tasks:
         trace, hints = _link_artefacts(task)
-        start = len(specs)
-        for controller in _controllers(task):
-            specs.append(BatchLinkSpec(
-                trace=trace,
-                controller=controller,
-                traffic=TcpSource() if task.tcp else UdpSource(),
-                hint_series=hints,
-                config=SimConfig(seed=task.seed),
-            ))
-        spans.append((start, len(specs)))
-    results = run_batch(specs)
-    return [_best(results[lo:hi]) for lo, hi in spans]
+        [controller] = _controllers(task)
+        specs.append(BatchLinkSpec(
+            trace=trace,
+            controller=controller,
+            traffic=TcpSource() if task.tcp else UdpSource(),
+            hint_series=hints,
+            config=SimConfig(seed=task.seed),
+        ))
+    return run_batch(specs)
 
 
 def warm_network_task(args: tuple) -> None:

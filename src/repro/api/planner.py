@@ -3,11 +3,12 @@
 Pure functions from task descriptors to an execution plan, so the
 policy is unit-testable without running a simulator.  Under
 ``engine="auto"`` a link task replays on the batch engine only where
-measurements show batch is faster: tasks group by ``(protocol,
-traffic, best-SampleRate)``, each group splits into chunks of at most
-:data:`BATCH_SIZE` tasks, and a chunk goes to batch only when its link
-count reaches the :data:`BATCH_BREAK_EVEN_LINKS` entry for its
-``(protocol, tcp)``.  Everything else replays per task on the fast
+measurements show batch is faster: tasks group by ``(protocol, tcp)``,
+each group splits into chunks of at most :data:`BATCH_SIZE` tasks, and
+a chunk goes to batch only when its task count reaches the
+:data:`BATCH_BREAK_EVEN_LINKS` entry for its key.  A batched task is one
+link: only SampleRate carries the best-window bias, and SampleRate has
+no array adapter.  Everything else replays per task on the fast
 engine.  A scenario goes to the batch scenario engine when its
 structure lets that engine commit rounds.  All engines are
 bit-identical, so the plan changes speed only.
@@ -23,14 +24,11 @@ __all__ = [
     "BATCH_BREAK_EVEN_LINKS",
     "BATCH_SIZE",
     "LinkPlan",
-    "link_count",
     "plan_link_tasks",
     "resolve_network_engine",
 ]
 
-#: Most tasks one batch-engine call replays (a best-SampleRate task
-#: replays one link per candidate window, so a chunk may hold more
-#: links than this).
+#: Most tasks (= links) one batch-engine call replays.
 BATCH_SIZE = 64
 
 #: Break-even widths of the batch engine, in links, keyed by
@@ -39,12 +37,12 @@ BATCH_SIZE = 64
 #: and in every mobility mode measured, keeping the larger width where
 #: they disagreed (the measurements are tabulated in the README's
 #: "Choosing an engine").  Pairs without an entry replay on ``fast``
-#: under ``auto``: SampleRate (UDP and TCP) and HintAware did not win
-#: in every mobility mode within one :data:`BATCH_SIZE`-link chunk
-#: against their list-state scalar controllers, RapidSample under TCP
-#: did not win either (the batch engine drives each row's scalar
-#: ``TcpSource``), and RRAA, RBAR and CHARM have no array adapter, so
-#: they replay on ``fast`` even under ``engine="batch"``.
+#: under ``auto``: RapidSample under TCP did not win (the batch engine
+#: drives each row's scalar ``TcpSource``), and no other protocol of
+#: the comparison has an array adapter -- SampleRate and HintAware lost
+#: theirs once their list-state scalar controllers out-ran them within
+#: one :data:`BATCH_SIZE`-link chunk -- so those replay on ``fast`` even
+#: under ``engine="batch"``.
 BATCH_BREAK_EVEN_LINKS: dict[tuple[str, bool], int] = {
     ("RapidSample", False): 24,
 }
@@ -93,23 +91,16 @@ def _has_array_adapter(protocol: str) -> bool:
     return "step_batch" in vars(type(RATE_PROTOCOLS[protocol](0)))
 
 
-def link_count(n_tasks: int, best_samplerate: bool) -> int:
-    """Links the batch engine replays for ``n_tasks`` tasks of one key."""
-    from ..experiments.common import SAMPLERATE_WINDOWS_S
-
-    return n_tasks * (len(SAMPLERATE_WINDOWS_S) if best_samplerate else 1)
-
-
 def plan_link_tasks(keys: list, engine: str) -> LinkPlan:
     """Plan link tasks given their batchability keys.
 
-    ``keys[i]`` is task *i*'s grouping key, ``(protocol, tcp,
-    best_samplerate)``; tasks sharing a key may replay in one ragged
-    batch.  ``engine`` is the session preference: ``fast``/``reference``
-    force per-task replays, ``batch`` forces batch chunks (even of
-    one) for every protocol with an array adapter and replays the rest
-    on ``fast``, and ``auto`` batches a chunk only at or above its
-    :data:`BATCH_BREAK_EVEN_LINKS` width.
+    ``keys[i]`` is task *i*'s grouping key, ``(protocol, tcp)``; tasks
+    sharing a key may replay in one ragged batch.  ``engine`` is the
+    session preference: ``fast``/``reference`` force per-task replays,
+    ``batch`` forces batch chunks (even of one) for every protocol with
+    an array adapter and replays the rest on ``fast``, and ``auto``
+    batches a chunk only at or above its :data:`BATCH_BREAK_EVEN_LINKS`
+    width.
     """
     if engine in ("fast", "reference"):
         return LinkPlan(chunks=(), singles=tuple(range(len(keys))),
@@ -123,14 +114,13 @@ def plan_link_tasks(keys: list, engine: str) -> LinkPlan:
     chunks: list[tuple[int, ...]] = []
     singles: list[int] = []
     engines = ["batch"] * len(keys)
-    for (protocol, tcp, best), members in groups.items():
+    for (protocol, tcp), members in groups.items():
         break_even = BATCH_BREAK_EVEN_LINKS.get((protocol, tcp))
         forced = engine == "batch" and _has_array_adapter(protocol)
         for lo in range(0, len(members), BATCH_SIZE):
             chunk = tuple(members[lo:lo + BATCH_SIZE])
-            if forced or (
-                    break_even is not None
-                    and link_count(len(chunk), best) >= break_even):
+            if forced or (break_even is not None
+                          and len(chunk) >= break_even):
                 chunks.append(chunk)
                 continue
             singles.extend(chunk)

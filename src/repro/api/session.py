@@ -56,8 +56,9 @@ class Session:
     engine:
         ``"auto"`` (default: plan per workload), or force ``"fast"`` /
         ``"reference"`` / ``"batch"`` everywhere.  Forced ``"batch"``
-        replays protocols without an array adapter (RRAA, RBAR, CHARM)
-        on ``"fast"``, and ``RunResult.task_engines`` says so.  All
+        batches only RapidSample (the one protocol of the comparison
+        with an array adapter) and replays the rest on ``"fast"``, and
+        ``RunResult.task_engines`` says so.  All
         engines are bit-identical; the choice is purely about speed.
     jobs:
         Worker processes for fan-outs.  ``None`` reads ``REPRO_JOBS``
@@ -147,8 +148,7 @@ class Session:
         self._warm_networks([task for _, task in pending_nets])
 
         # --- link tasks: plan, then chunks first --------------------
-        keys = [(link.protocol, link.tcp, link.best_samplerate)
-                for _, link in pending_links]
+        keys = [(link.protocol, link.tcp) for _, link in pending_links]
         plan = plan_link_tasks(keys, self.engine)
         tasks = [
             LinkTask(protocol=link.protocol, env=link.env, mode=link.mode,

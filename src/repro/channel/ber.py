@@ -137,7 +137,12 @@ class BerPerModel:
     def ber(self, snr_db: float, rate_index: int) -> float:
         rate = RATE_TABLE[rate_index]
         gain = _CODING_GAIN_DB[rate.coding_rate]
-        snr_linear = 10.0 ** ((snr_db + gain) / 10.0)
+        try:
+            snr_linear = 10.0 ** ((snr_db + gain) / 10.0)
+        except OverflowError:
+            # Above ~3080 dB the power is past the largest float: it
+            # saturates, so the BER is 0 there, as at +inf.
+            snr_linear = math.inf
         mod = rate.modulation
         bits = self._BITS_PER_SYMBOL[mod]
         gamma_b = snr_linear / bits

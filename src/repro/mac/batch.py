@@ -4,11 +4,11 @@
 grids replay *hundreds* of independent links that differ only in trace,
 controller and seed.  :class:`BatchLinkEngine` holds the state of B such
 links as structure-of-arrays (per-link integer-microsecond clock, retry
-counter, hint cursor, RNG buffer cursors) and advances all of them one
+counter, RNG buffer cursors) and advances all of them one
 frame-exchange attempt per step with NumPy, consulting the links'
 controllers through a :class:`~repro.rate.base.BatchRateAdapter` --
-the array adapter that fixed-rate, RapidSample, SampleRate and the
-hint-aware switch provide.  Controllers without one (RRAA, RBAR, CHARM,
+the array adapter that fixed-rate and RapidSample provide.  Controllers
+without one (SampleRate, the hint-aware switch, RRAA, RBAR, CHARM,
 custom classes) are not batched: :func:`run_batch` replays them on the
 fast engine.
 
@@ -22,21 +22,21 @@ and the differential fuzz suite in ``tests/test_engine_equivalence.py``):
   (:func:`repro.mac.simulator._rng_streams`), never by batch position,
   and are consumed in the same block sizes as the fast engine;
 * float arithmetic follows the fast engine's expressions operation for
-  operation (``t / 1e6`` divisions, truncating casts, the
-  ``(snr + bias) + noise*z`` association);
-* hint-edge comparisons are precomputed into *integer-microsecond*
-  thresholds that fire at exactly the clock tick where the fast
-  engine's float comparison flips;
-* no adapted controller reads SNR, so the engine never draws the
-  SNR-observation stream -- those draws would be unobservable, and the
-  stream is independent of the others, so results are unchanged.
+  operation (``t / 1e6`` divisions, truncating casts);
+* no hints, no SNR: :func:`~repro.rate.base.make_batch_adapter` gives
+  no adapter to a controller class that overrides ``on_hint`` or
+  ``observe_snr``, so every batched controller ignores both.  The
+  engine therefore never reads a spec's hint series and never draws
+  the SNR-observation stream -- those deliveries and draws would be
+  unobservable, and that stream is independent of the others, so
+  results are unchanged.
 
 Success-run cruise
 ------------------
 The per-step cost is NumPy call overhead, so the engine amortises it by
 *cruising*: for links whose adapter exposes a
-:class:`~repro.rate.base.CruiseView` (and which are saturated-UDP,
-retry-free and hint-quiet), a success leaves the controller state
+:class:`~repro.rate.base.CruiseView` (and which are saturated-UDP and
+retry-free), a success leaves the controller state
 untouched, so a prefix of consecutive successes can be validated and
 committed as one ``(B, k)`` tableau -- backoffs and airtimes by cumsum,
 fates/floor draws/sample-up deadlines checked vectorized -- before the
@@ -52,7 +52,6 @@ exotic payload sizes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -68,7 +67,6 @@ from .simulator import (
     SimConfig,
     SimResult,
     _airtime_tables,
-    _hint_edges,
     _rng_streams,
     RateControllerLike,
 )
@@ -77,9 +75,6 @@ from .traffic import TrafficSource, UdpSource
 __all__ = ["BatchLinkSpec", "BatchLinkEngine", "run_batch"]
 
 _INF = float("inf")
-
-#: Sentinel for "no further hint edge" (comfortably past any clock).
-_FAR = np.int64(2**62)
 
 #: Rolling RNG buffer geometry: generators refill whole blocks in place
 #: while cursors wander ahead of the first block boundary.
@@ -141,22 +136,6 @@ class BatchLinkSpec:
         )
 
 
-def _edge_threshold_us(edge_t: float, delay_s: float) -> int:
-    """Smallest integer-µs clock t with ``edge_t <= t/1e6 - delay_s``.
-
-    Replicates the fast engine's float comparison exactly: the condition
-    is monotone in t (``t/1e6`` is nondecreasing), so the flip point is
-    found by a short walk around the algebraic guess.
-    """
-    guess = int(math.ceil((edge_t + delay_s) * 1e6))
-    t = max(guess - 4, 0)
-    while not edge_t <= t / 1e6 - delay_s:
-        t += 1
-    while t > 0 and edge_t <= (t - 1) / 1e6 - delay_s:
-        t -= 1
-    return t
-
-
 def _integral_timing(payload_bytes: int) -> bool:
     """Whether all airtimes and the slot time are whole microseconds."""
     ok_us, fail_us, slot_time_us, _ = _airtime_tables(payload_bytes)
@@ -193,7 +172,6 @@ class BatchLinkEngine:
                 "the fast engine"
             )
         self._adapter = adapter
-        self._needs_time = adapter.needs_choose_time
         n = len(specs)
         self._n = n
         cfgs = [s.config for s in specs]
@@ -260,37 +238,6 @@ class BatchLinkEngine:
         self._floor_p = np.array([c.floor_loss_prob for c in cfgs])
         self._payloads = [c.payload_bytes for c in cfgs]
 
-        # --- hint edge lists as integer-µs thresholds ------------------
-        thresh: list[int] = []
-        vals: list[bool] = []
-        ptr = np.zeros(n, dtype=np.int64)
-        end = np.zeros(n, dtype=np.int64)
-        nxt = np.full(n, _FAR, dtype=np.int64)
-        present = np.zeros(n, dtype=bool)
-        for i, s in enumerate(specs):
-            ptr[i] = len(thresh)
-            if s.hint_series is not None:
-                present[i] = True
-                edge_t, edge_v = _hint_edges(s.hint_series)
-                delay = s.config.hint_delay_s
-                thresh += [_edge_threshold_us(e, delay) for e in edge_t]
-                vals += edge_v
-            end[i] = len(thresh)
-            if end[i] > ptr[i]:
-                nxt[i] = thresh[ptr[i]]
-        self._hint_thresh = np.array(thresh, dtype=np.int64)
-        self._hint_vals = np.array(vals, dtype=bool)
-        self._hint_ptr = ptr
-        self._hint_end = end
-        self._next_hint = nxt
-        self._hint_present = present
-        self._hint_cur = np.zeros(n, dtype=np.int8)
-        self._last_hint = np.full(n, -1, dtype=np.int8)
-        self._any_hints = bool(present.any())
-        # Rows whose initial hint value has not been delivered yet: the
-        # fast engine fires ``on_hint`` on a link's *first* attempt.
-        self._unprimed = self._any_hints
-
         # --- dynamic state --------------------------------------------
         self._t = np.zeros(n, dtype=np.int64)
         self._retries = np.zeros(n, dtype=np.int64)
@@ -335,9 +282,7 @@ class BatchLinkEngine:
         """Drop dead rows from every per-row array and list."""
         for name in ("_t", "_retries", "_serving", "_is_udp", "_dur",
                      "_slot_s", "_last_slot", "_fate_off",
-                     "_retry_limit", "_ladder", "_floor_p", "_live_ids",
-                     "_hint_ptr", "_hint_end", "_next_hint",
-                     "_hint_present", "_hint_cur", "_last_hint"):
+                     "_retry_limit", "_ladder", "_floor_p", "_live_ids"):
             setattr(self, name, getattr(self, name)[keep])
         if self._use_backoff:
             self._bk_flat = self._bk_flat.reshape(-1, _W)[keep].reshape(-1)
@@ -352,11 +297,6 @@ class BatchLinkEngine:
         self._traffic = [self._traffic[int(k)] for k in keep]
         self._adapter.compact(keep)
         self._all_udp = bool(self._is_udp.all())
-        self._any_hints = bool(self._hint_present.any())
-        if self._unprimed:
-            self._unprimed = bool(
-                (self._hint_present & (self._last_hint == -1)).any()
-            )
         self._refresh_row_index()
         self._refill_cd = 0
 
@@ -393,37 +333,6 @@ class BatchLinkEngine:
         self._refill_cd = _REFILL_CD
 
     # ------------------------------------------------------------------
-    # Hint delivery (slow path: edges are rare)
-    # ------------------------------------------------------------------
-    def _hint_step(self, att: np.ndarray | None) -> None:
-        """Advance hint cursors and deliver transitions for ``att`` rows."""
-        rows = self._arange if att is None else att
-        t = self._t
-        thresh = self._hint_thresh
-        vals = self._hint_vals
-        changed: list[int] = []
-        for r in rows:
-            r = int(r)
-            if not self._hint_present[r]:
-                continue
-            tv = int(t[r])
-            p = int(self._hint_ptr[r])
-            end = int(self._hint_end[r])
-            while p < end and thresh[p] <= tv:
-                self._hint_cur[r] = 1 if vals[p] else 0
-                p += 1
-            self._hint_ptr[r] = p
-            self._next_hint[r] = thresh[p] if p < end else _FAR
-            if self._hint_cur[r] != self._last_hint[r]:
-                changed.append(r)
-        if changed:
-            ch = np.array(changed, dtype=np.int64)
-            self._adapter.on_hint_batch(
-                ch, self._hint_cur[ch].astype(bool), t[ch] / 1e6
-            )
-            self._last_hint[ch] = self._hint_cur[ch]
-
-    # ------------------------------------------------------------------
     # Cruise: commit prefixes of consecutive successes vectorized
     # ------------------------------------------------------------------
     def _cruise_step(self) -> int:
@@ -432,19 +341,9 @@ class BatchLinkEngine:
         elig = cruise.eligible() & (self._retries == 0)
         if not self._all_udp:
             elig &= self._serving & self._is_udp
-        if self._unprimed:
-            # An undelivered initial hint must reach the controller
-            # through the general step first.  (Later transitions cannot
-            # be pending here: delivery is immediate in the general step
-            # and the tableau never crosses ``next_hint``.)
-            elig &= ~(self._hint_present & (self._hint_cur != self._last_hint))
-        t = self._t
-        if self._any_hints:
-            # Required by terminal-failure commits at tableau cell 0 (a
-            # hint firing before the attempt must be delivered first).
-            elig &= self._next_hint > t
         if not elig.any():
             return 0
+        t = self._t
         k = self._cruise_k
         k_range = self._k_range[:k]
         cur = cruise.current()
@@ -473,7 +372,6 @@ class BatchLinkEngine:
         # state, so it must go through the general step.
         valid = deliver & cruise.success_noop(t_after / 1e3)
         valid &= t_after < self._dur[:, None]
-        valid &= t_after < self._next_hint[:, None]
         valid &= elig[:, None]
         pre = np.logical_and.accumulate(valid, axis=1)
         ncommit = pre.sum(axis=1)
@@ -502,8 +400,8 @@ class BatchLinkEngine:
         # vectorized through the adapter's *full* update -- a failure
         # (step-down, the link re-enters the general step with
         # retries=1 for its retry chain), a sample-up success, a sample
-        # adoption or reversion -- unless a horizon (duration, hint
-        # edge) broke the run instead.  Resolving these in-pass lets
+        # adoption or reversion -- unless the trace end broke the run
+        # instead.  Resolving these in-pass lets
         # the `_CRUISE_ITERS` loop chain run after run.
         term = ((ncommit < k) & elig).nonzero()[0]
         if term.size:
@@ -560,24 +458,7 @@ class BatchLinkEngine:
         of rows whose trace ended."""
         dense = att is None
         t0 = self._t if dense else self._t[att]
-        # Vectorized adapters that ignore attempt-start times let the
-        # engine skip computing them (they only see post-attempt times).
-        now_ms = t0 / 1e3 if self._needs_time else None
-
-        if self._any_hints:
-            m = self._next_hint <= self._t if dense \
-                else self._next_hint[att] <= t0
-            if self._unprimed:
-                pend = self._hint_present & (self._last_hint == -1)
-                m = m | (pend if dense else pend[att])
-            if m.any():
-                self._hint_step(m.nonzero()[0] if dense else att[m])
-                if self._unprimed:
-                    self._unprimed = bool(
-                        (self._hint_present & (self._last_hint == -1)).any()
-                    )
-
-        rate = self._adapter.choose_rate_batch(att, now_ms)
+        rate = self._adapter.choose_rate_batch(att)
         retries = self._retries if dense else self._retries[att]
         if self._ladder_on:
             ladder = self._ladder if dense else self._ladder[att]
@@ -811,10 +692,10 @@ def run_batch(specs: Sequence[BatchLinkSpec]) -> list[SimResult]:
     Specs are partitioned into engine-compatible groups (same controller
     class and config flags); each group runs as one lockstep batch.
     Specs the array program cannot express -- a group without an array
-    adapter (RRAA, RBAR, CHARM, custom controllers) or non-integral
-    airtimes from a custom payload -- replay on the fast engine
-    individually.  Either way every link's result is bit-identical to a
-    standalone replay.
+    adapter (SampleRate, HintAware, RRAA, RBAR, CHARM, custom
+    controllers) or non-integral airtimes from a custom payload --
+    replay on the fast engine individually.  Either way every link's
+    result is bit-identical to a standalone replay.
     """
     specs = [s.resolved() for s in specs]
     results: list[SimResult | None] = [None] * len(specs)

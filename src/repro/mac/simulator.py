@@ -35,8 +35,10 @@ by ``SimConfig(engine=...)``:
   many links in lockstep (here, a batch of one).  Its reason to exist is
   grid executors -- :class:`repro.api.Session` plans wide enough grid
   groups onto it (``engine="auto"``) or forces every group with an
-  array adapter onto it (``engine="batch"``); per-link results are
-  bit-identical to the other engines.
+  array adapter onto it (``engine="batch"``).  Only fixed-rate and
+  RapidSample controllers have one; the engine delivers no hints and
+  no SNR, and replays every other controller on ``"fast"``.  Per-link
+  results are bit-identical to the other engines.
 
 Randomness is split into four independent streams spawned from
 ``SeedSequence(config.seed)`` -- calibration bias, SNR observation noise,

@@ -76,12 +76,14 @@ class RateController(ABC):
         a Python loop, it asks the controller class for a
         :class:`BatchRateAdapter` that applies the same updates to all B
         links as array programs, *bit-identical* to driving the
-        controllers one by one.  Protocols with NumPy implementations
-        (fixed-rate, RapidSample, SampleRate, the hint-aware switch)
-        override this.  ``None`` means "no array adapter": the base
-        class returns it, and so does an override handed a batch it
-        cannot express; :func:`repro.mac.batch.run_batch` then replays
-        those links on the fast engine.
+        controllers one by one.  Fixed-rate and RapidSample override
+        this: the two protocols the planner can send to the batch
+        engine.  ``None`` means "no array adapter": the base class
+        returns it, and so does an override handed a batch it cannot
+        express; :func:`repro.mac.batch.run_batch` then replays those
+        links on the fast engine.  The engine delivers neither hints nor
+        SNR, so :func:`make_batch_adapter` never calls this on a class
+        that overrides :meth:`on_hint` or :meth:`observe_snr`.
         """
         return None
 
@@ -98,8 +100,9 @@ class BatchRateAdapter:
     and then :meth:`compact` with the surviving row indices.
 
     ``cruise`` is ``None`` or a :class:`CruiseView` enabling the
-    engine's vectorized success-run fast path.  There is no SNR hook:
-    only RBAR and CHARM read SNR, and they have no array adapter.
+    engine's vectorized success-run fast path.  There is no hint or SNR
+    hook: :func:`make_batch_adapter` gives no adapter to a controller
+    class that reads either.
 
     Only the grid engine (:mod:`repro.mac.batch`) drives adapters; the
     scalar engines, network scenario engines included, call the
@@ -107,10 +110,6 @@ class BatchRateAdapter:
     """
 
     cruise: "CruiseView | None" = None
-    #: Whether :meth:`choose_rate_batch`/:meth:`on_hint_batch` read their
-    #: time arguments; vectorized adapters that ignore them let the
-    #: engine skip computing attempt-start timestamps.
-    needs_choose_time: bool = True
 
     def __init__(self, controllers: Sequence[RateController]) -> None:
         self.controllers = list(controllers)
@@ -119,13 +118,7 @@ class BatchRateAdapter:
     def n_links(self) -> int:
         return len(self.controllers)
 
-    def _rows(self, rows) -> range | np.ndarray:
-        return range(len(self.controllers)) if rows is None else rows
-
-    def on_hint_batch(self, rows, moving: np.ndarray, time_s: np.ndarray) -> None:
-        """Movement-hint transitions for the selected links."""
-
-    def choose_rate_batch(self, rows, now_ms: np.ndarray) -> np.ndarray:
+    def choose_rate_batch(self, rows) -> np.ndarray:
         """Rate indices for the attempts starting now (int64 array).
 
         The returned array is owned by the caller (adapters must not
@@ -174,7 +167,6 @@ class CompositeBatchAdapter(BatchRateAdapter):
             self._rows_of.append(rows)
             self._group_of[rows] = slot
             self._local_of[rows] = np.arange(len(rows))
-        self.needs_choose_time = any(s.needs_choose_time for s in self._subs)
 
     def _split(self, rows):
         """Yield ``(sub, local_rows, positions)`` per touched group.
@@ -194,17 +186,11 @@ class CompositeBatchAdapter(BatchRateAdapter):
             if positions.size:
                 yield sub, self._local_of[rows[positions]], positions
 
-    def on_hint_batch(self, rows, moving, time_s) -> None:
-        for sub, local, pos in self._split(rows):
-            sub.on_hint_batch(local, moving[pos], time_s[pos])
-
-    def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
+    def choose_rate_batch(self, rows) -> np.ndarray:
         n = len(self.controllers) if rows is None else len(rows)
         out = np.empty(n, dtype=np.int64)
         for sub, local, pos in self._split(rows):
-            out[pos] = sub.choose_rate_batch(
-                local, None if now_ms is None else now_ms[pos]
-            )
+            out[pos] = sub.choose_rate_batch(local)
         return out
 
     def on_result_batch(self, rows, rates, successes, now_ms) -> None:
@@ -280,7 +266,10 @@ def make_batch_adapter(
     ``step_batch`` *itself*: a subclass that merely inherits a parent's
     array adapter may have overridden the scalar hooks the adapter
     replicates, so it has none rather than silently replaying the
-    parent's semantics.  A homogeneous batch gets whatever its class's
+    parent's semantics.  The batch engine delivers no hints and no SNR,
+    so a class that overrides :meth:`RateController.on_hint` or
+    :meth:`RateController.observe_snr` has none either, whatever its
+    ``step_batch``.  A homogeneous batch gets whatever its class's
     ``step_batch`` builds; a heterogeneous one gets a
     :class:`CompositeBatchAdapter` over its classes' adapters.  Either
     way one class without an adapter leaves the whole batch without.
@@ -291,7 +280,10 @@ def make_batch_adapter(
     subs: list[tuple[BatchRateAdapter, list[int]]] = []
     for cls, rows in groups.items():
         step = cls.__dict__.get("step_batch")
-        sub = None if step is None else \
+        reads_side_inputs = (cls.on_hint is not RateController.on_hint
+                             or cls.observe_snr
+                             is not RateController.observe_snr)
+        sub = None if step is None or reads_side_inputs else \
             step.__get__(None, cls)([controllers[i] for i in rows])
         if sub is None:
             return None

@@ -62,14 +62,12 @@ class _FixedCruise(CruiseView):
 class _FixedBatchAdapter(BatchRateAdapter):
     """NumPy lockstep driver for B fixed-rate controllers (stateless)."""
 
-    needs_choose_time = False
-
     def __init__(self, controllers: Sequence[RateController]) -> None:
         super().__init__(controllers)
         self.rates = np.array([c._rate for c in controllers], dtype=np.int64)
         self.cruise = _FixedCruise(self)
 
-    def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
+    def choose_rate_batch(self, rows) -> np.ndarray:
         return self.rates.copy() if rows is None else self.rates[rows]
 
     def on_result_batch(self, rows, rates, successes, now_ms) -> None:

@@ -22,15 +22,11 @@ serves ``choose_rate``.  Two switch details matter and are exposed:
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from ..channel.rates import N_RATES
 from ..core.hints import Hint, MovementHint
-from .base import BatchRateAdapter, RateController
-from .rapidsample import RapidSample, RapidSampleSoA, _RapidCruise
-from .samplerate import SampleRate, SampleRateSoA
+from .base import RateController
+from .rapidsample import RapidSample
+from .samplerate import SampleRate
 
 __all__ = ["HintAwareRateController"]
 
@@ -112,93 +108,3 @@ class HintAwareRateController(RateController):
         self._static.reset()
         self._set_moving(False)
         self.switch_count = 0
-
-    @classmethod
-    def step_batch(
-        cls, controllers: Sequence[RateController]
-    ) -> BatchRateAdapter | None:
-        # Array sides exist for the default pairing only; custom sides
-        # (or mixed rate counts) have no array adapter.
-        if len({c.n_rates for c in controllers}) > 1 or not all(
-            type(c._mobile) is RapidSample and type(c._static) is SampleRate
-            and c._mobile.n_rates == c._static.n_rates == c.n_rates
-            for c in controllers
-        ):
-            return None
-        return _HintAwareBatchAdapter(controllers)
-
-
-class _HintAwareBatchAdapter(BatchRateAdapter):
-    """Lockstep driver for B hint-aware RapidSample/SampleRate switches.
-
-    The mobile side runs as a shared
-    :class:`~repro.rate.rapidsample.RapidSampleSoA` -- mobile-mode
-    attempts, which dominate exactly when rate decisions are cheapest to
-    vectorize, are array programs and cruise-eligible -- and the static
-    side as a :class:`~repro.rate.samplerate.SampleRateSoA`.  Hint
-    switches are rare and handled per link, replicating
-    :meth:`HintAwareRateController.on_hint` exactly (bit-identical to
-    the single-link engines).
-    """
-
-    def __init__(self, controllers: Sequence[HintAwareRateController]) -> None:
-        super().__init__(controllers)
-        self.soa = RapidSampleSoA([c._mobile for c in controllers])
-        self.static_soa = SampleRateSoA([c._static for c in controllers])
-        self.moving = np.array([c._moving for c in controllers], dtype=bool)
-        self._reset_on_switch = [bool(c._reset_on_switch) for c in controllers]
-        self.cruise = _RapidCruise(self.soa, moving=self.moving)
-
-    def on_hint_batch(self, rows, moving, time_s) -> None:
-        for j, i in enumerate(self._rows(rows)):
-            mv = bool(moving[j])
-            if mv == self.moving[i]:
-                continue
-            # Outgoing side's operating point seeds the incoming side.
-            if mv:
-                seed_rate = int(self.static_soa.current[i])
-                if self._reset_on_switch[i]:
-                    self.soa.reset_row(i)
-                self.soa.current[i] = seed_rate
-            else:
-                self.static_soa.current[i] = int(self.soa.current[i])
-            self.moving[i] = mv
-            self.controllers[i].switch_count += 1
-
-    def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
-        if rows is None:
-            out = self.soa.current.copy()
-            positions = static_rows = np.flatnonzero(~self.moving)
-        else:
-            out = self.soa.current[rows]
-            positions = np.flatnonzero(~self.moving[rows])
-            static_rows = rows[positions]
-        if positions.size:
-            out[positions] = self.static_soa.choose(static_rows,
-                                                    now_ms[positions])
-        return out
-
-    def on_result_batch(self, rows, rates, successes, now_ms) -> None:
-        sel = np.arange(len(rates)) if rows is None else rows
-        mv = self.moving[sel]
-        mi = np.flatnonzero(mv)
-        if mi.size:
-            self.soa.on_result(sel[mi], rates[mi], successes[mi], now_ms[mi])
-        si = np.flatnonzero(~mv)
-        if si.size:
-            self.static_soa.on_result(
-                sel[si], rates[si], successes[si], now_ms[si])
-
-    def retire(self, rows) -> None:
-        self.soa.retire_rows(rows, [c._mobile for c in self.controllers])
-        self.static_soa.retire_rows(rows, [c._static for c in self.controllers])
-        for r in rows:
-            self.controllers[int(r)]._set_moving(bool(self.moving[r]))
-
-    def compact(self, keep) -> None:
-        super().compact(keep)
-        self.soa.compact(keep)
-        self.static_soa.compact(keep)
-        self.moving = self.moving[keep]
-        self.cruise._moving = self.moving
-        self._reset_on_switch = [self._reset_on_switch[int(k)] for k in keep]

@@ -137,9 +137,6 @@ class RapidSampleSoA:
     Initialised *from* the wrapped instances (they may carry state from
     earlier replays) and written back on :meth:`retire_rows`, so the
     instances end a batched run exactly as they would a looped one.
-
-    Shared by the RapidSample adapter and the hint-aware adapter (which
-    runs one RapidSample per link while its stations are mobile).
     """
 
     def __init__(self, controllers: Sequence[RapidSample]) -> None:
@@ -163,14 +160,6 @@ class RapidSampleSoA:
         self.failed_flat = self.failed.reshape(-1)
         self.picked_flat = self.picked.reshape(-1)
         self.base = np.arange(len(self.current), dtype=np.int64) * self.n_rates
-
-    def reset_row(self, row: int) -> None:
-        """:meth:`RapidSample.reset` for one link."""
-        self.failed[row, :] = -math.inf
-        self.picked[row, :] = 0.0
-        self.current[row] = self.n_rates - 1
-        self.sampling[row] = False
-        self.old_rate[row] = self.current[row]
 
     def on_result(self, rows, rates: np.ndarray, successes: np.ndarray,
                   now_ms: np.ndarray) -> None:
@@ -246,18 +235,15 @@ class RapidSampleSoA:
 
 
 class _RapidCruise(CruiseView):
-    """Success-run view over a RapidSample SoA (optionally hint-gated)."""
+    """Success-run view over a RapidSample SoA."""
 
-    def __init__(self, soa: RapidSampleSoA, moving: np.ndarray | None = None):
+    def __init__(self, soa: RapidSampleSoA):
         self._soa = soa
-        self._moving = moving
 
     def eligible(self) -> np.ndarray:
         # Sampling links are *not* excluded: a mid-sample attempt cannot
         # be a no-op prefix cell (success_noop vetoes it) but resolves
         # fine as a terminal cell through commit_result.
-        if self._moving is not None:
-            return self._moving.copy()
         return np.ones(len(self._soa.current), dtype=bool)
 
     def current(self) -> np.ndarray:
@@ -301,14 +287,12 @@ class _RapidCruise(CruiseView):
 class _RapidSampleBatchAdapter(BatchRateAdapter):
     """NumPy lockstep driver for B RapidSample controllers."""
 
-    needs_choose_time = False
-
     def __init__(self, controllers: Sequence[RapidSample]) -> None:
         super().__init__(controllers)
         self.soa = RapidSampleSoA(controllers)
         self.cruise = _RapidCruise(self.soa)
 
-    def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
+    def choose_rate_batch(self, rows) -> np.ndarray:
         cur = self.soa.current
         return cur.copy() if rows is None else cur[rows]
 

@@ -176,6 +176,11 @@ class RBAR(RateController):
                         threshold_bias_db=self._bias)
             for s in range(self._lut_lo, self._lut_hi + 1)
         ]
+        # A NaN SNR has no table slot; it takes the model's per(nan)
+        # verdict, as CHARM's does.
+        self._nan_rate = snr_to_rate(math.nan, self._model, max_per,
+                                     payload_bytes,
+                                     threshold_bias_db=self._bias)
         self.reset()
 
     def reset(self) -> None:
@@ -185,9 +190,17 @@ class RBAR(RateController):
         self._last_snr = snr_db
 
     def choose_rate(self, now_ms: float) -> int:
-        if self._last_snr is None:
+        snr = self._last_snr
+        if snr is None:
             return 0  # no channel knowledge yet: be conservative
-        idx = int(round(self._last_snr)) - self._lut_lo
+        try:
+            idx = int(round(snr)) - self._lut_lo
+        except (OverflowError, ValueError):
+            # int() takes neither infinity nor NaN: ±inf clamps to an
+            # end of the table like any out-of-range SNR.
+            if snr != snr:
+                return min(self._nan_rate, self.n_rates - 1)
+            idx = len(self._lut) - 1 if snr > 0 else 0
         idx = min(max(idx, 0), len(self._lut) - 1)
         return min(self._lut[idx], self.n_rates - 1)
 

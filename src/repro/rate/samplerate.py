@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Sequence
 
 import numpy as np
 
 from ..channel.rates import N_RATES
 from ..mac import timing
-from .base import BatchRateAdapter, RateController
+from .base import RateController
 
-__all__ = ["SampleRate", "SampleRateSoA"]
+__all__ = ["SampleRate"]
 
 
 class SampleRate(RateController):
@@ -44,10 +43,10 @@ class SampleRate(RateController):
     The per-rate window statistics are Python lists and each window
     record is a ``(time_ms, rate, success, airtime_us)`` tuple: scalar
     reads and writes of list slots are several times cheaper than
-    indexing NumPy arrays, and Python float arithmetic is the same
-    IEEE-754 double arithmetic, so the values match array state bit for
-    bit.  The airtime of an attempt comes from per-rate delivered/failed
-    tables built once here.
+    indexing NumPy arrays.  The airtime of an attempt comes from
+    per-rate delivered/failed tables built once here.  There is no
+    array adapter: :func:`repro.mac.batch.run_batch` replays SampleRate
+    links on the fast engine.
     """
 
     name = "SampleRate"
@@ -185,287 +184,3 @@ class SampleRate(RateController):
             self._consecutive_failures[rate_index] += 1
         self._records.append((now_ms, rate_index, success, airtime))
         self._tx_time_us[rate_index] += airtime
-
-    @classmethod
-    def step_batch(
-        cls, controllers: Sequence[RateController]
-    ) -> BatchRateAdapter | None:
-        if len({c.n_rates for c in controllers}) > 1:
-            return None
-        return _SampleRateBatchAdapter(controllers)
-
-
-class SampleRateSoA:
-    """Structure-of-arrays form of B SampleRate instances.
-
-    Holds the per-rate window statistics (``tx_time``/``successes``/
-    ``failures``/``consecutive_failures``) as ``(B, n_rates)`` arrays
-    and the sliding-window records as per-row segments of shared
-    ``(B, cap)`` ring arrays, and applies :meth:`SampleRate.choose_rate`
-    / :meth:`SampleRate.on_result` to many links at once:
-
-    * window expiry is a vectorized head-record check, with the rare
-      row that actually expires drained by the exact scalar loop
-      (records pop in FIFO order, so every float update replays the
-      instance's operation order bit for bit);
-    * the best-rate argmin (minimum average transmission time, unseen
-      rates scored lossless, the four-successive-failures quarantine)
-      is one ``(B, R)`` array program -- ``np.argmin`` keeps the first
-      minimum, matching the instance loop's strict-less update;
-    * the every-``sample_every``-packets sampling decision stays
-      per-instance *only* on the rows it fires for (~1 in 10), driving
-      each instance's own ``Generator`` so RNG streams are consumed
-      exactly as in the single-link engines.
-
-    Initialised *from* the wrapped instances (they may carry state) and
-    written back on :meth:`retire_rows`.  Shared by the SampleRate
-    adapter and the hint-aware adapter's static side.
-    """
-
-    def __init__(self, controllers: Sequence["SampleRate"]) -> None:
-        n = len(controllers)
-        n_rates = controllers[0].n_rates if n else N_RATES
-        self.n_rates = n_rates
-        self.tx = np.array([c._tx_time_us for c in controllers],
-                           dtype=np.float64).reshape(n, n_rates)
-        self.succ = np.array([c._successes for c in controllers],
-                             dtype=np.int64).reshape(n, n_rates)
-        self.fail = np.array([c._failures for c in controllers],
-                             dtype=np.int64).reshape(n, n_rates)
-        self.consec = np.array(
-            [c._consecutive_failures for c in controllers],
-            dtype=np.int64).reshape(n, n_rates)
-        self.lossless = np.array([c._lossless_us for c in controllers],
-                                 dtype=np.float64).reshape(n, n_rates)
-        self.ok_air = np.array([c._lossless_us for c in controllers],
-                               dtype=np.float64).reshape(n, n_rates)
-        self.fail_air = np.array([c._fail_air_us for c in controllers],
-                                 dtype=np.float64).reshape(n, n_rates)
-        self.window_ms = np.array([c._window_ms for c in controllers])
-        self.sample_every = np.array([c._sample_every for c in controllers],
-                                     dtype=np.int64)
-        self.packet_count = np.array([c._packet_count for c in controllers],
-                                     dtype=np.int64)
-        self.current = np.array([c._current for c in controllers],
-                                dtype=np.int64)
-        self.sampling_rate = np.array(
-            [-1 if c._sampling_rate is None else c._sampling_rate
-             for c in controllers], dtype=np.int64)
-        #: The instances' own generators, consumed in place (no copy, no
-        #: write-back): sampling draws stay on the exact scalar streams.
-        self.rngs = [c._rng for c in controllers]
-        cap = 64
-        need = max((len(c._records) for c in controllers), default=0)
-        while cap < need:
-            cap *= 2
-        self._cap = cap
-        self.rec_time = np.zeros((n, cap))
-        self.rec_rate = np.zeros((n, cap), dtype=np.int64)
-        self.rec_succ = np.zeros((n, cap), dtype=bool)
-        self.rec_air = np.zeros((n, cap))
-        self.start = np.zeros(n, dtype=np.int64)
-        self.end = np.zeros(n, dtype=np.int64)
-        for i, c in enumerate(controllers):
-            for j, (time_ms, rate, success, airtime) in enumerate(c._records):
-                self.rec_time[i, j] = time_ms
-                self.rec_rate[i, j] = rate
-                self.rec_succ[i, j] = success
-                self.rec_air[i, j] = airtime
-            self.end[i] = len(c._records)
-        self._rebuild_views()
-
-    def _rebuild_views(self) -> None:
-        n = len(self.current)
-        self.base = np.arange(n, dtype=np.int64) * self.n_rates
-        self._tx_flat = self.tx.reshape(-1)
-        self._succ_flat = self.succ.reshape(-1)
-        self._fail_flat = self.fail.reshape(-1)
-        self._consec_flat = self.consec.reshape(-1)
-
-    # ------------------------------------------------------------------
-    def _expire_rows(self, sel: np.ndarray, now_ms: np.ndarray) -> None:
-        """:meth:`SampleRate._expire` -- vectorized head check, exact
-        scalar drain on the rows whose head record actually expired."""
-        starts = self.start[sel]
-        horizon = now_ms - self.window_ms[sel]
-        head_t = self.rec_time[sel, np.minimum(starts, self._cap - 1)]
-        pending = (starts < self.end[sel]) & (head_t < horizon)
-        if not pending.any():
-            return
-        for j in np.flatnonzero(pending):
-            r = int(sel[j])
-            h = horizon[j]
-            s = int(self.start[r])
-            e = int(self.end[r])
-            times = self.rec_time[r]
-            while s < e and times[s] < h:
-                rate = int(self.rec_rate[r, s])
-                self.tx[r, rate] -= self.rec_air[r, s]
-                if self.rec_succ[r, s]:
-                    self.succ[r, rate] -= 1
-                else:
-                    self.fail[r, rate] -= 1
-                if self.succ[r, rate] + self.fail[r, rate] == 0:
-                    self.consec[r, rate] = 0
-                s += 1
-            self.start[r] = s
-
-    def _best_rates(self, sel: np.ndarray) -> np.ndarray:
-        """:meth:`SampleRate._best_rate`, vectorized over the rows.
-
-        ``np.argmin`` returns the first occurrence of the minimum,
-        matching the instance loop's ``score < best_time`` strict-less
-        update (and its ``best = 0`` default when every score is inf).
-        """
-        succ = self.succ[sel]
-        attempts = succ + self.fail[sel]
-        avg = np.where(succ > 0, self.tx[sel] / np.maximum(succ, 1), np.inf)
-        score = np.where(attempts > 0, avg, self.lossless[sel])
-        score = np.where((self.consec[sel] >= 4) & (succ == 0),
-                         np.inf, score)
-        return np.argmin(score, axis=1)
-
-    def _sample_row(self, r: int, best: int) -> int | None:
-        """:meth:`SampleRate._pick_sample_rate` for one row, exactly."""
-        succ = self.succ[r, best]
-        best_avg = self.tx[r, best] / succ if succ > 0 else np.inf
-        if not np.isfinite(best_avg):
-            best_avg = self.lossless[r, best]
-        candidates = [
-            j for j in range(self.n_rates)
-            if j != best and self.consec[r, j] < 4
-            and self.lossless[r, j] < best_avg
-        ]
-        if not candidates:
-            return None
-        return int(self.rngs[r].choice(candidates))
-
-    def choose(self, rows, now_ms: np.ndarray) -> np.ndarray:
-        """:meth:`SampleRate.choose_rate` for the selected rows."""
-        sel = np.arange(len(self.current), dtype=np.int64) \
-            if rows is None else rows
-        self._expire_rows(sel, now_ms)
-        self.packet_count[sel] += 1
-        best = self._best_rates(sel)
-        self.sampling_rate[sel] = -1
-        due = (self.packet_count[sel] % self.sample_every[sel]) == 0
-        if due.any():
-            for j in np.flatnonzero(due):
-                r = int(sel[j])
-                sample = self._sample_row(r, int(best[j]))
-                if sample is not None:
-                    self.sampling_rate[r] = sample
-                    best[j] = sample
-        self.current[sel] = best
-        return best
-
-    def on_result(self, rows, rates: np.ndarray, successes: np.ndarray,
-                  now_ms: np.ndarray) -> None:
-        """:meth:`SampleRate.on_result` for the selected rows (each row
-        at most once per call, as the batch engines guarantee)."""
-        sel = np.arange(len(self.current), dtype=np.int64) \
-            if rows is None else rows
-        if not len(sel):
-            return
-        if (self.end[sel] == self._cap).any():
-            self._make_room()
-        pos = self.end[sel]
-        air = np.where(successes,
-                       self.ok_air[sel, rates], self.fail_air[sel, rates])
-        self.rec_time[sel, pos] = now_ms
-        self.rec_rate[sel, pos] = rates
-        self.rec_succ[sel, pos] = successes
-        self.rec_air[sel, pos] = air
-        self.end[sel] += 1
-        base = self.base[sel] + rates
-        self._tx_flat[base] += air
-        si = successes.nonzero()[0]
-        if si.size:
-            self._succ_flat[base[si]] += 1
-            self._consec_flat[base[si]] = 0
-        fi = (~successes).nonzero()[0]
-        if fi.size:
-            self._fail_flat[base[fi]] += 1
-            self._consec_flat[base[fi]] += 1
-
-    def _grow_to(self, min_cap: int) -> None:
-        """Double the record ring until it holds ``min_cap`` per row."""
-        while self._cap < min_cap:
-            self.rec_time = np.concatenate(
-                [self.rec_time, np.zeros_like(self.rec_time)], axis=1)
-            self.rec_rate = np.concatenate(
-                [self.rec_rate, np.zeros_like(self.rec_rate)], axis=1)
-            self.rec_succ = np.concatenate(
-                [self.rec_succ, np.zeros_like(self.rec_succ)], axis=1)
-            self.rec_air = np.concatenate(
-                [self.rec_air, np.zeros_like(self.rec_air)], axis=1)
-            self._cap *= 2
-
-    def _make_room(self) -> None:
-        """Shift drained prefixes out; grow the ring if a row is full."""
-        for r in np.flatnonzero(self.end == self._cap):
-            r = int(r)
-            s = int(self.start[r])
-            if s == 0:
-                continue
-            e = int(self.end[r])
-            for arr in (self.rec_time, self.rec_rate,
-                        self.rec_succ, self.rec_air):
-                arr[r, : e - s] = arr[r, s:e]
-            self.start[r] = 0
-            self.end[r] = e - s
-        if (self.end == self._cap).any():
-            self._grow_to(self._cap * 2)
-
-    # ------------------------------------------------------------------
-    def retire_rows(self, rows: np.ndarray,
-                    controllers: Sequence["SampleRate"]) -> None:
-        """Write rows' state back into their SampleRate instances."""
-        for r in rows:
-            r = int(r)
-            c = controllers[r]
-            c._tx_time_us = self.tx[r].tolist()
-            c._successes = self.succ[r].tolist()
-            c._failures = self.fail[r].tolist()
-            c._consecutive_failures = self.consec[r].tolist()
-            c._packet_count = int(self.packet_count[r])
-            c._current = int(self.current[r])
-            sampling = int(self.sampling_rate[r])
-            c._sampling_rate = None if sampling < 0 else sampling
-            live = slice(int(self.start[r]), int(self.end[r]))
-            c._records = deque(zip(
-                self.rec_time[r, live].tolist(),
-                self.rec_rate[r, live].tolist(),
-                self.rec_succ[r, live].tolist(),
-                self.rec_air[r, live].tolist(),
-            ))
-
-    def compact(self, keep: np.ndarray) -> None:
-        for name in ("tx", "succ", "fail", "consec", "lossless", "ok_air",
-                     "fail_air", "window_ms", "sample_every", "packet_count",
-                     "current", "sampling_rate", "rec_time", "rec_rate",
-                     "rec_succ", "rec_air", "start", "end"):
-            setattr(self, name, getattr(self, name)[keep])
-        self.rngs = [self.rngs[int(k)] for k in keep]
-        self._rebuild_views()
-
-
-class _SampleRateBatchAdapter(BatchRateAdapter):
-    """NumPy lockstep driver for B SampleRate controllers."""
-
-    def __init__(self, controllers: Sequence[SampleRate]) -> None:
-        super().__init__(controllers)
-        self.soa = SampleRateSoA(controllers)
-
-    def choose_rate_batch(self, rows, now_ms) -> np.ndarray:
-        return self.soa.choose(rows, now_ms)
-
-    def on_result_batch(self, rows, rates, successes, now_ms) -> None:
-        self.soa.on_result(rows, rates, successes, now_ms)
-
-    def retire(self, rows) -> None:
-        self.soa.retire_rows(rows, self.controllers)
-
-    def compact(self, keep) -> None:
-        super().compact(keep)
-        self.soa.compact(keep)

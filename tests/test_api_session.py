@@ -14,7 +14,6 @@ from repro.api import (
 from repro.api.planner import (
     BATCH_BREAK_EVEN_LINKS,
     BATCH_SIZE,
-    link_count,
     plan_link_tasks,
     resolve_network_engine,
 )
@@ -103,18 +102,17 @@ def _break_even_cases():
 
 class TestPlanner:
     KEYS = (
-        [("RapidSample", False, False)] * 5
-        + [("SampleRate", True, True)]
-        + [("HintAware", True, False)] * 3
+        [("RapidSample", False)] * 5
+        + [("SampleRate", True)]
+        + [("HintAware", True)] * 3
     )
 
     @pytest.mark.parametrize("protocol, tcp, entry", _break_even_cases())
     def test_auto_batches_from_break_even_width(self, protocol, tcp, entry):
-        # Plain (non-best) groups: one link per task.
-        below = plan_link_tasks([(protocol, tcp, False)] * (entry - 1), "auto")
+        below = plan_link_tasks([(protocol, tcp)] * (entry - 1), "auto")
         assert below.chunks == ()
         assert set(below.engines) == {"fast"}
-        at = plan_link_tasks([(protocol, tcp, False)] * entry, "auto")
+        at = plan_link_tasks([(protocol, tcp)] * entry, "auto")
         assert at.chunks == (tuple(range(entry)),)
         assert at.singles == ()
         assert set(at.engines) == {"batch"}
@@ -124,35 +122,14 @@ class TestPlanner:
         for protocol in RATE_PROTOCOLS:
             if (protocol, tcp) in BATCH_BREAK_EVEN_LINKS:
                 continue
-            for best in (False, True):
-                plan = plan_link_tasks([(protocol, tcp, best)]
-                                       * (2 * BATCH_SIZE), "auto")
-                assert plan.chunks == (), (protocol, tcp, best)
-                assert set(plan.engines) == {"fast"}
-
-    @pytest.mark.parametrize("tcp", [False, True])
-    def test_best_samplerate_counts_its_windows(self, tcp, monkeypatch):
-        # The mechanism, independent of the measured table: a
-        # best-SampleRate task counts one link per candidate window.
-        entry = 24
-        monkeypatch.setitem(BATCH_BREAK_EVEN_LINKS, ("SampleRate", tcp),
-                            entry)
-        windows = len(SAMPLERATE_WINDOWS_S)
-        assert link_count(1, True) == windows
-        n_tasks = -(-entry // windows)   # fewest tasks reaching the entry
-        best = plan_link_tasks([("SampleRate", tcp, True)] * n_tasks, "auto")
-        assert set(best.engines) == {"batch"}
-        fewer = plan_link_tasks([("SampleRate", tcp, True)] * (n_tasks - 1),
-                                "auto")
-        assert set(fewer.engines) == {"fast"}
-        # The same task count without the bias is one link per task.
-        plain = plan_link_tasks([("SampleRate", tcp, False)] * n_tasks,
-                                "auto")
-        assert set(plain.engines) == {"fast"}
+            plan = plan_link_tasks([(protocol, tcp)] * (2 * BATCH_SIZE),
+                                   "auto")
+            assert plan.chunks == (), (protocol, tcp)
+            assert set(plan.engines) == {"fast"}
 
     def test_chunks_hold_at_most_batch_size_tasks(self):
         n = 2 * BATCH_SIZE + 2
-        keys = [("RapidSample", False, False)] * n
+        keys = [("RapidSample", False)] * n
         forced = plan_link_tasks(keys, "batch")
         assert forced.chunks == (tuple(range(BATCH_SIZE)),
                                  tuple(range(BATCH_SIZE, 2 * BATCH_SIZE)),
@@ -165,10 +142,10 @@ class TestPlanner:
         assert auto.engines[n - 1] == "fast"
 
     def test_auto_chunks_execute_first_in_group_order(self, monkeypatch):
-        monkeypatch.setitem(BATCH_BREAK_EVEN_LINKS, ("SampleRate", False), 24)
-        keys = ([("HintAware", True, False)] * 3
-                + [("RapidSample", False, False)] * 30
-                + [("SampleRate", False, True)] * 8)
+        monkeypatch.setitem(BATCH_BREAK_EVEN_LINKS, ("RapidSample", True), 8)
+        keys = ([("HintAware", True)] * 3
+                + [("RapidSample", False)] * 30
+                + [("RapidSample", True)] * 8)
         plan = plan_link_tasks(keys, "auto")
         assert plan.chunks == (tuple(range(3, 33)), tuple(range(33, 41)))
         assert plan.singles == (0, 1, 2)
@@ -185,21 +162,28 @@ class TestPlanner:
             assert 1 <= entry <= BATCH_SIZE
 
     def test_forced_batch_keeps_singletons_batched(self):
+        plan = plan_link_tasks([("RapidSample", True)], "batch")
+        assert plan.chunks == ((0,),)
+        assert plan.engines == ("batch",)
+        # SampleRate and HintAware have no array adapter: forced batch
+        # batches the RapidSample group only, so the plan is mixed.
         plan = plan_link_tasks(self.KEYS, "batch")
-        assert plan.singles == ()
-        assert set(plan.engines) == {"batch"}
+        assert plan.chunks == (tuple(range(5)),)
+        assert plan.singles == tuple(range(5, len(self.KEYS)))
+        assert plan.engines == ("batch",) * 5 + ("fast",) * 4
 
     def test_forced_batch_labels_scalar_protocols_fast(self):
         """Protocols whose class has no array adapter replay on fast even
         under a forced batch, and the plan says so."""
-        keys = [(protocol, tcp, False) for protocol in sorted(RATE_PROTOCOLS)
+        keys = [(protocol, tcp) for protocol in sorted(RATE_PROTOCOLS)
                 for tcp in (False, True)]
         plan = plan_link_tasks(keys, "batch")
-        for (protocol, _, _), engine in zip(keys, plan.engines):
+        for (protocol, _), engine in zip(keys, plan.engines):
             cls = type(RATE_PROTOCOLS[protocol](0))
             assert engine == ("batch" if "step_batch" in vars(cls)
                               else "fast"), protocol
-        assert {keys[i][0] for i in plan.singles} == {"RRAA", "RBAR", "CHARM"}
+        assert {keys[i][0] for i in plan.singles} == {
+            "SampleRate", "HintAware", "RRAA", "RBAR", "CHARM"}
         assert sorted([i for chunk in plan.chunks for i in chunk]
                       + list(plan.singles)) == list(range(len(keys)))
 
@@ -298,7 +282,8 @@ class TestSessionEquivalence:
         # Batch chunks fanned over worker processes.
         run = Session(engine="batch", jobs=2).run(GRID)
         assert run.throughputs == reference
-        assert run.engine == "batch"
+        # Only the RapidSample tasks have an array adapter.
+        assert run.engine == "mixed"
 
     def test_jobs_do_not_change_results(self, reference):
         run = Session(jobs=2).run(GRID)
@@ -312,8 +297,8 @@ class TestSessionEquivalence:
         assert len(run.results) == GRID.n_tasks
         assert len(run.task_engines) == GRID.n_tasks
         assert run.elapsed_s > 0
-        # Every group (2 tasks; 6 links for best-SampleRate) is below
-        # its break-even width.
+        # The RapidSample group (2 tasks) is below its break-even
+        # width; the other protocols never batch under auto.
         assert run.engine == "fast"
 
     def test_single_link_full_result(self):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import GridSpec, Session
 from repro.channel import ChannelTrace
+from repro.core.architecture import HintSeries
 from repro.experiments.common import RATE_PROTOCOLS, cached_hints, cached_trace
 from repro.mac import (
     BatchLinkSpec,
@@ -133,15 +134,57 @@ class TestBatchEdgeCases:
         the composite, dropping rows as links end at different times."""
         from repro.rate.base import CompositeBatchAdapter
 
-        links = [("RapidSample", 2.0, False), ("SampleRate", 4.0, False),
-                 ("HintAware", 3.0, True), ("RapidSample", 3.0, True)]
-        engine = BatchLinkEngine([
-            _spec(protocol=p, duration_s=d, tcp=tcp, seed=SEED + i)
-            for i, (p, d, tcp) in enumerate(links)])
+        links = [(RapidSample, 2.0, False), (lambda: FixedRate(4), 4.0, False),
+                 (lambda: FixedRate(7), 3.0, True), (RapidSample, 3.0, True)]
+
+        def spec(make, d, tcp, seed):
+            return BatchLinkSpec(
+                trace=cached_trace("office", "mixed", seed, d),
+                controller=make(),
+                traffic=TcpSource() if tcp else UdpSource(),
+                hint_series=cached_hints("mixed", seed, d),
+                config=SimConfig(seed=seed))
+
+        engine = BatchLinkEngine([spec(make, d, tcp, SEED + i)
+                                  for i, (make, d, tcp) in enumerate(links)])
         assert isinstance(engine._adapter, CompositeBatchAdapter)
-        for i, ((p, d, tcp), res) in enumerate(zip(links, engine.run())):
-            assert_results_identical(
-                res, _fast(protocol=p, duration_s=d, tcp=tcp, seed=SEED + i))
+        for i, ((make, d, tcp), res) in enumerate(zip(links, engine.run())):
+            s = spec(make, d, tcp, SEED + i)
+            assert_results_identical(res, run_link(
+                s.trace, s.controller, s.traffic, hint_series=s.hint_series,
+                config=s.config))
+
+    @pytest.mark.parametrize("hints", ["none", "real", "every_ms"])
+    def test_hint_series_never_changes_a_batched_result(self, hints):
+        """Batched controllers ignore hints, so the engine never reads a
+        spec's hint series: one RapidSample batch and one fixed-rate
+        batch give the same results with no hints, the link's real
+        hints or a hint edge every millisecond, and each matches its
+        standalone fast replay."""
+        duration_s = 3.0
+        if hints == "none":
+            series = None
+        elif hints == "real":
+            series = cached_hints("mixed", SEED, duration_s)
+        else:
+            times = np.arange(0.0, duration_s, 1e-3)
+            series = HintSeries(times_s=times,
+                                values=np.arange(len(times)) % 2 == 0)
+        def specs(make, hint_series):
+            return [BatchLinkSpec(
+                trace=cached_trace("office", mode, SEED + i, duration_s),
+                controller=make(), traffic=UdpSource(),
+                hint_series=hint_series, config=SimConfig(seed=SEED + i))
+                for i, mode in enumerate(("mixed", "mobile", "static"))]
+
+        for make in (RapidSample, lambda: FixedRate(5)):
+            hinted = specs(make, series)
+            for spec, res, res_quiet in zip(hinted, run_batch(hinted),
+                                            run_batch(specs(make, None))):
+                assert_results_identical(res, res_quiet)
+                assert_results_identical(res, run_link(
+                    spec.trace, make(), UdpSource(), hint_series=series,
+                    config=spec.config))
 
     def test_no_hints_no_backoff_no_floor(self):
         """Config flags off: the engine must not consume those streams."""
@@ -197,7 +240,8 @@ class TestBatchEdgeCases:
 
 class TestControllerStateParity:
     """After a batched run, controllers carry the same state as after a
-    standalone fast run (the adapters write their SoA back on retire)."""
+    standalone fast run (the adapters write their SoA back on retire;
+    controllers without one are the fast run's own)."""
 
     def test_rapidsample_state_written_back(self):
         c_batch = RapidSample()
@@ -263,6 +307,41 @@ class TestCruisePaths:
         fast = run_link(trace, FixedRate(rate_index), UdpSource(), config=cfg)
         assert_results_identical(batch, fast)
 
+    @pytest.mark.parametrize("hook", ["on_hint", "observe_snr"])
+    def test_controller_reading_hints_or_snr_has_no_adapter(self, hook,
+                                                            monkeypatch):
+        """The batch engine delivers neither hints nor SNR, so a class
+        overriding either hook has no array adapter even when it defines
+        ``step_batch`` itself, and replays on the fast engine."""
+        def on_hint(self, hint):
+            self._current = 0 if hint.moving else self.n_rates - 1
+
+        def observe_snr(self, snr_db, now_ms):
+            self._current = 0 if snr_db < 10.0 else self._current
+
+        class Reactive(RapidSample):
+            step_batch = vars(RapidSample)["step_batch"]
+
+        assert make_batch_adapter([Reactive()]) is not None
+        setattr(Reactive, hook, on_hint if hook == "on_hint" else observe_snr)
+        assert make_batch_adapter([Reactive(), Reactive()]) is None
+        assert make_batch_adapter([RapidSample(), Reactive()]) is None
+        trace = cached_trace("office", "mixed", SEED, 3.0)
+        hints = cached_hints("mixed", SEED, 3.0)
+        cfg = SimConfig(seed=SEED)
+        fast = run_link(trace, Reactive(), UdpSource(), hint_series=hints,
+                        config=cfg)
+        TestScalarFallback._forbid_engine(monkeypatch)
+        [batch] = run_batch([BatchLinkSpec(
+            trace=trace, controller=Reactive(), traffic=UdpSource(),
+            hint_series=hints, config=cfg)])
+        assert_results_identical(batch, fast)
+        # The hook is live: the same link replays differently without it.
+        assert not np.array_equal(
+            fast.rate_attempts,
+            run_link(trace, RapidSample(), UdpSource(), hint_series=hints,
+                     config=cfg).rate_attempts)
+
     def test_subclassed_controller_falls_back_to_loop(self):
         """A subclass inheriting RapidSample's vectorized adapter but
         overriding a scalar hook must NOT be vectorized with the
@@ -313,10 +392,11 @@ class TestScalarFallback:
         lambda: RBAR(training_seed=SEED),
         lambda: CHARM(training_seed=SEED),
         RoundRobin,
+        SampleRate,
+        HintAwareRateController,
         lambda: HintAwareRateController(static=RRAA()),
-        lambda: HintAwareRateController(mobile=SampleRate()),
-    ], ids=["RRAA", "RBAR", "CHARM", "RoundRobin", "HintAware-RRAA-static",
-            "HintAware-SampleRate-mobile"])
+    ], ids=["RRAA", "RBAR", "CHARM", "RoundRobin", "SampleRate", "HintAware",
+            "HintAware-RRAA-static"])
     def test_group_without_array_adapter_matches_run_link(self, make,
                                                           monkeypatch):
         assert make_batch_adapter([make(), make()]) is None
@@ -357,7 +437,7 @@ class TestScalarFallback:
                  dict(snr_calibration_error_db=0.0),
                  dict(snr_feedback=False),
                  dict(snr_obs_noise_db=4.0, snr_calibration_error_db=3.0)]
-        specs = [_spec(protocol="HintAware", seed=SEED + i, duration_s=2.0,
+        specs = [_spec(protocol="RapidSample", seed=SEED + i, duration_s=2.0,
                        **kw) for i, kw in enumerate(knobs)]
         engines = []
         original = BatchLinkEngine.run
@@ -371,7 +451,7 @@ class TestScalarFallback:
         assert len(engines) == 1
         for i, (kw, res) in enumerate(zip(knobs, results)):
             assert_results_identical(
-                res, _fast(protocol="HintAware", seed=SEED + i,
+                res, _fast(protocol="RapidSample", seed=SEED + i,
                            duration_s=2.0, **kw))
 
 

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import controller_oracle as oracle
-from repro.channel.ber import DEFAULT_PER_MODEL, LogisticPerModel
+from repro.channel.ber import DEFAULT_PER_MODEL, BerPerModel, LogisticPerModel
 from repro.channel.rates import N_RATES
 from repro.core.hints import MovementHint
 from repro.mac import SimConfig, UdpSource
@@ -382,9 +382,9 @@ class TestHintAwareOracle:
                    _seeded_ops(seed, 2000, events=True), seen)
         assert seen >= {"hint switch", "window expiry", "sampling draw"}
 
-    def test_hooks_follow_the_side_after_batch_retire(self):
-        """The batch adapter writes ``moving`` back through the switch,
-        so the bound hooks serve the side that is active afterwards."""
+    def test_hooks_follow_the_side_after_run_batch(self):
+        """``run_batch`` replays the switch (no array adapter) on the
+        fast engine; the bound hooks serve the side active afterwards."""
         trace = cached_trace("office", "mixed", 3, 4.0)
         hints = cached_hints("mixed", 3, 4.0)
         ctrl = HintAwareRateController(initially_moving=True)
@@ -479,6 +479,26 @@ class TestExactThresholds:
                                       != (snr - (margin + bias[r]) >= t))
         assert exact > 0 and reordered > 0
 
+    def test_ber_model_thresholds_match_per(self):
+        """The physical model's ``per`` is defined on every float (its
+        linear SNR saturates instead of overflowing), so it trains
+        thresholds too, and ``snr_to_rate`` over them agrees with the
+        per loop."""
+        model = BerPerModel()
+        assert model.per(1e308, N_RATES - 1) == model.per(math.inf,
+                                                           N_RATES - 1) == 0.0
+        thresholds, nan_passes = rate_thresholds(model, 0.1, 1000)
+        assert all(math.isfinite(t) for t in thresholds)
+        assert not any(nan_passes)
+        rng = np.random.default_rng(7)
+        snrs = np.concatenate([rng.uniform(-30.0, 60.0, 3000),
+                               [-1e300, 1e300, 3079.0, 3090.0],
+                               _SPECIALS]).tolist()
+        for t in thresholds:
+            snrs += _around(t, 8).tolist()
+        for snr in snrs:
+            assert snr_to_rate(snr, model) == oracle.snr_to_rate(snr, model)
+
     @pytest.mark.parametrize("seed,error_db", [(0, 1.5), (5, 4.0), (2, 0.0)])
     def test_rbar_lut_matches_per_loop(self, seed, error_db):
         ctrl = RBAR(training_seed=seed, training_error_db=error_db)
@@ -487,3 +507,28 @@ class TestExactThresholds:
                                threshold_bias_db=ctrl._bias)
             for s in range(ctrl._lut_lo, ctrl._lut_hi + 1)
         ]
+
+    @pytest.mark.parametrize("seed,error_db", [(0, 1.5), (5, 4.0), (2, 0.0)])
+    def test_rbar_non_finite_snr(self, seed, error_db):
+        """``int(round(.))`` takes neither infinity nor NaN: ``±inf``
+        clamps to an end of the table and NaN takes the model's
+        ``per(nan)`` verdict, as CHARM's average does."""
+        ctrl = RBAR(training_seed=seed, training_error_db=error_db)
+        picks = {}
+        for snr in _SPECIALS:
+            ctrl.observe_snr(snr, 0.0)
+            picks[snr] = ctrl.choose_rate(0.0)
+        assert picks[math.inf] == ctrl._lut[-1] == N_RATES - 1
+        assert picks[-math.inf] == ctrl._lut[0] == 0
+        assert picks[math.nan] == oracle.snr_to_rate(
+            math.nan, threshold_bias_db=ctrl._bias) == N_RATES - 1
+        for snr in _SPECIALS:
+            charm = CHARM(training_seed=seed)
+            charm.observe_snr(snr, 0.0)
+            assert charm.choose_rate(0.0) == picks[snr]
+        # Finite SNRs still index the table, clamped at its ends.
+        for snr in (-1e300, -20.6, -0.5, 0.5, 17.49, 17.5, 60.4, 1e300):
+            ctrl.observe_snr(snr, 0.0)
+            idx = min(max(int(round(snr)) - ctrl._lut_lo, 0),
+                      len(ctrl._lut) - 1)
+            assert ctrl.choose_rate(0.0) == ctrl._lut[idx]
