@@ -13,7 +13,8 @@ Two legs, each bit-identical to its comparison path:
   at least 0.9x ``Session(engine="fast")``, so the planner never
   routes a figure grid onto a slower engine.
 
-Ratios are CPU time, best of three, like the engine benchmarks; the
+Ratios are CPU time, best of three, like the engine benchmarks (the
+Figure 3-5 leg alternates its two sessions round by round); the
 measured numbers are emitted as a ``BENCH_api.json`` artifact and
 additionally guarded against the committed ``BENCH_api_baseline.json``
 pins when present.
@@ -93,8 +94,14 @@ def test_session_auto_no_slower_than_fast_on_quick_fig3_5():
     _warm_grid([grid])
 
     auto, fast = Session(jobs=1), Session(engine="fast", jobs=1)
-    t_auto, auto_run = _best_of_cpu(lambda: auto.run(grid))
-    t_fast, fast_run = _best_of_cpu(lambda: fast.run(grid))
+    # Rounds alternate between the two sessions so host-speed drift
+    # hits both alike; each side keeps its best round.
+    t_auto = t_fast = float("inf")
+    for _ in range(3):
+        t, auto_run = _best_of_cpu(lambda: auto.run(grid), 1)
+        t_auto = min(t_auto, t)
+        t, fast_run = _best_of_cpu(lambda: fast.run(grid), 1)
+        t_fast = min(t_fast, t)
 
     assert auto_run.throughputs == fast_run.throughputs, (
         "auto plan diverged from the fast engine"

@@ -163,6 +163,12 @@ class HintChannel:
     goes out (``beacon_interval_s``, 0 disables).  :meth:`deliver`
     is called by the simulator at each successful exchange and returns
     newly learned hints.
+
+    :meth:`carries` is the one statement of that rule, beacon clock
+    included.  :meth:`deliver` applies it to a published hint object;
+    the network simulator's ``protocol`` mode applies it directly to a
+    station's movement bit, so a replay builds no hint objects for
+    exchanges that learn nothing new.
     """
 
     beacon_interval_s: float = 0.1
@@ -174,31 +180,37 @@ class HintChannel:
         """Receiver side: update the hint value to be shared."""
         self._pending = hint
 
+    def carries(self, now_s: float, exchange_success: bool) -> bool:
+        """Whether the exchange ending at ``now_s`` carries the hint.
+
+        A successful exchange always does (stuffed bit / piggyback);
+        otherwise a standalone beacon does if one is due.  Either way
+        the delivery moves the beacon clock to ``now_s``.
+        """
+        if exchange_success or (
+                self.beacon_interval_s > 0
+                and now_s - self._last_beacon_s >= self.beacon_interval_s):
+            self._last_beacon_s = now_s
+            return True
+        return False
+
     def deliver(self, now_s: float, exchange_success: bool) -> Hint | None:
         """Sender side: the hint learned at this instant, if any.
 
-        Called once per frame exchange.  A successful exchange always
-        carries the current hint (stuffed bit / piggyback); otherwise the
-        standalone beacon may still have fired since the last delivery.
+        Called once per frame exchange; :meth:`carries` decides whether
+        the published hint gets through.
         """
-        if self._pending is None:
+        if self._pending is None or not self.carries(now_s, exchange_success):
             return None
-        beacon_due = (
-            self.beacon_interval_s > 0
-            and now_s - self._last_beacon_s >= self.beacon_interval_s
-        )
-        if exchange_success or beacon_due:
-            self._last_beacon_s = now_s
-            # Round-trip through the wire encoding so the sender sees the
-            # quantised value, exactly as over the air.
-            try:
-                wire = encode_hint_field(self._pending)
-                learned = decode_hint_field(wire, time_s=now_s)
-            except TypeError:
-                learned = self._pending
-            self._last_delivered = learned
-            return learned
-        return None
+        # Round-trip through the wire encoding so the sender sees the
+        # quantised value, exactly as over the air.
+        try:
+            wire = encode_hint_field(self._pending)
+            learned = decode_hint_field(wire, time_s=now_s)
+        except TypeError:
+            learned = self._pending
+        self._last_delivered = learned
+        return learned
 
     @property
     def last_delivered(self) -> Hint | None:

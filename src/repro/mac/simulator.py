@@ -63,6 +63,7 @@ from ..channel.rates import N_RATES
 from ..channel.trace import ChannelTrace
 from ..core.architecture import HintSeries
 from ..core.hints import MovementHint
+from ..rate.base import reads_snr
 from . import timing
 from .traffic import TrafficSource, UdpSource
 
@@ -440,6 +441,14 @@ class LinkProcess:
     and then drained produces the same :class:`SimResult` as one drained
     from the start.
 
+    SNR observation runs only for a controller that can read it
+    (:func:`repro.rate.base.reads_snr`, decided once here): for the
+    rest the per-attempt observed SNR, its noise draw and the no-op
+    ``observe_snr`` call are skipped.  That is unobservable -- the
+    noise stream feeds only the observation, and the calibration bias
+    is still drawn once per replay -- and the reference engine, which
+    observes on every attempt, pins it.
+
     CSMA hooks
     ----------
     * :meth:`next_ready_us` -- the earliest time this station wants the
@@ -490,7 +499,7 @@ class LinkProcess:
             trace.snr_db.tolist(), trace.slot_s, trace.n_slots - 1,
             ok_us, fail_us, slot_time_us, cw_plus1,
             hint_series is not None, hint_times, hint_vals, len(hint_times),
-            cfg.hint_delay_s, cfg.snr_feedback,
+            cfg.hint_delay_s, cfg.snr_feedback and reads_snr(controller),
             _calibration_bias_db(cfg, bias_rng), cfg.snr_obs_noise_db,
             cfg.floor_loss_prob, cfg.use_backoff, cfg.retry_ladder_after,
             cfg.retry_limit, snr_rng, backoff_rng, floor_rng,

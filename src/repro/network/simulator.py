@@ -49,7 +49,12 @@ from ..ap.association import (
     simulate_walks,
     strongest_signal_policy,
 )
-from ..core.hint_protocol import HintChannel, decode_hint_frame
+from ..core.hint_protocol import (
+    HintChannel,
+    decode_hint_field,
+    decode_hint_frame,
+    encode_hint_field,
+)
 from ..core.hints import (
     HeadingHint,
     MovementHint,
@@ -82,6 +87,16 @@ __all__ = [
 ]
 
 _INF = float("inf")
+
+#: The movement bit as the sender reads it off the air, keyed by the
+#: bit the receiver publishes: built once through the two-byte hint
+#: field codec, so the wire stays the source of truth for
+#: ``protocol``-mode delivery without a round trip per exchange.
+_WIRE_MOVING = {
+    moving: decode_hint_field(
+        encode_hint_field(MovementHint(time_s=0.0, moving=moving))).moving
+    for moving in (False, True)
+}
 
 
 @dataclass(frozen=True)
@@ -496,16 +511,23 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
     def _deliver_hint(self, st: _StationRuntime, end_s: float,
                       success: bool) -> None:
-        channel = st.channel
-        assert channel is not None
-        channel.publish(
-            MovementHint(time_s=end_s, moving=st.advance_hint(end_s)))
-        learned = channel.deliver(end_s, exchange_success=success)
-        if learned is not None and isinstance(learned, MovementHint):
+        """Hint Protocol delivery at the end of one of ``st``'s exchanges.
+
+        The station publishes its movement bit; when the channel's
+        delivery rule (:meth:`HintChannel.carries`) lets the exchange
+        carry it, the sender learns the bit's wire value, and a
+        :class:`MovementHint` is built -- for ``on_hint`` -- only when
+        that value changes.  The bit is read only when carried: its
+        cursor is monotone, so the reads skipped in between change
+        nothing.
+        """
+        if st.channel.carries(end_s, success):
             st.hints_delivered += 1
-            if learned.moving != st.last_learned:
-                st.controller.on_hint(learned)
-                st.last_learned = learned.moving
+            moving = _WIRE_MOVING[st.advance_hint(end_s)]
+            if moving != st.last_learned:
+                st.controller.on_hint(
+                    MovementHint(time_s=end_s, moving=moving))
+                st.last_learned = moving
 
     # ------------------------------------------------------------------
     # Scheduler

@@ -6,6 +6,7 @@ from .base import (
     BatchRateAdapter,
     RateController,
     make_batch_adapter,
+    reads_snr,
 )
 from .rapidsample import RapidSample
 from .samplerate import SampleRate
@@ -33,6 +34,7 @@ __all__ = [
     "RateController",
     "BatchRateAdapter",
     "make_batch_adapter",
+    "reads_snr",
     "RapidSample",
     "SampleRate",
     "RRAA",

@@ -28,6 +28,7 @@ __all__ = [
     "CompositeBatchAdapter",
     "CruiseView",
     "make_batch_adapter",
+    "reads_snr",
 ]
 
 
@@ -52,6 +53,16 @@ class RateController(ABC):
 
     def observe_snr(self, snr_db: float, now_ms: float) -> None:
         """Receiver SNR feedback; frame-based protocols ignore it."""
+
+    def reads_snr(self) -> bool:
+        """Whether :meth:`observe_snr` can matter to this controller.
+
+        True exactly when the class overrides the base no-op.  The
+        lookup goes through the class attributes at call time, so a
+        wrapper installed on :class:`RateController` itself (a
+        profiler's) still reads as the base method.
+        """
+        return type(self).observe_snr is not RateController.observe_snr
 
     def on_hint(self, hint: Hint) -> None:
         """A hint arrived via the Hint Protocol; most protocols ignore it."""
@@ -257,6 +268,17 @@ class CruiseView:
         raise NotImplementedError
 
 
+def reads_snr(controller: object) -> bool:
+    """Whether the scalar engines feed ``controller`` SNR observations.
+
+    A :class:`RateController` answers with
+    :meth:`RateController.reads_snr`; any other (duck-typed) controller
+    counts as reading.  Skipping the others is unobservable: the
+    observation's noise stream feeds nothing else.
+    """
+    return not isinstance(controller, RateController) or controller.reads_snr()
+
+
 def make_batch_adapter(
     controllers: Sequence[RateController],
 ) -> BatchRateAdapter | None:
@@ -267,9 +289,9 @@ def make_batch_adapter(
     array adapter may have overridden the scalar hooks the adapter
     replicates, so it has none rather than silently replaying the
     parent's semantics.  The batch engine delivers no hints and no SNR,
-    so a class that overrides :meth:`RateController.on_hint` or
-    :meth:`RateController.observe_snr` has none either, whatever its
-    ``step_batch``.  A homogeneous batch gets whatever its class's
+    so a class that overrides :meth:`RateController.on_hint`, or whose
+    controllers read SNR (:func:`reads_snr`), has none either, whatever
+    its ``step_batch``.  A homogeneous batch gets whatever its class's
     ``step_batch`` builds; a heterogeneous one gets a
     :class:`CompositeBatchAdapter` over its classes' adapters.  Either
     way one class without an adapter leaves the whole batch without.
@@ -280,11 +302,11 @@ def make_batch_adapter(
     subs: list[tuple[BatchRateAdapter, list[int]]] = []
     for cls, rows in groups.items():
         step = cls.__dict__.get("step_batch")
-        reads_side_inputs = (cls.on_hint is not RateController.on_hint
-                             or cls.observe_snr
-                             is not RateController.observe_snr)
-        sub = None if step is None or reads_side_inputs else \
-            step.__get__(None, cls)([controllers[i] for i in rows])
+        members = [controllers[i] for i in rows]
+        if step is None or cls.on_hint is not RateController.on_hint \
+                or any(reads_snr(c) for c in members):
+            return None
+        sub = step.__get__(None, cls)(members)
         if sub is None:
             return None
         subs.append((sub, rows))

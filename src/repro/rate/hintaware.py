@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..channel.rates import N_RATES
 from ..core.hints import Hint, MovementHint
-from .base import RateController
+from .base import RateController, reads_snr
 from .rapidsample import RapidSample
 from .samplerate import SampleRate
 
@@ -102,6 +102,10 @@ class HintAwareRateController(RateController):
 
     def observe_snr(self, snr_db: float, now_ms: float) -> None:
         self._observe(snr_db, now_ms)
+
+    def reads_snr(self) -> bool:
+        """Whether either side reads SNR (the sides never change)."""
+        return reads_snr(self._mobile) or reads_snr(self._static)
 
     def reset(self) -> None:
         self._mobile.reset()

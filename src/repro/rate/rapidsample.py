@@ -78,7 +78,8 @@ class RapidSample(RateController):
 
     def on_result(self, rate_index: int, success: bool, now_ms: float) -> None:
         """The Figure 3-2 update, applied after each attempt."""
-        self._check_rate(rate_index)
+        if not 0 <= rate_index < self.n_rates:
+            self._check_rate(rate_index)
         last = rate_index
         if not success:
             self._failed_time[last] = now_ms
